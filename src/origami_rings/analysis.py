@@ -141,33 +141,11 @@ def tangent_point(theta: UnitAngle, phi: UnitAngle) -> ExactScalar:
 # -- Z[P]-module membership ----------------------------------------------------
 
 
-def _coordinate_rows(values) -> list[list[Fraction]]:
-    """Q-linear coordinates of scalars sharing one backend, in a common basis."""
-    values = [as_scalar(v) for v in values]
-    if any(isinstance(v, ParamRational) for v in values):
-        ps = [v if isinstance(v, ParamRational) else ParamRational.from_rational(v.as_fraction()) for v in values]
-        common = _polys.ONE
-        for p in ps:
-            common = _polys.lcm(common, p.den)
-        polys = []
-        for p in ps:
-            mult, rem = _polys.divmod_(common, p.den)
-            assert not rem
-            polys.append(_polys.mul(p.num, mult))
-        width = max((len(q) for q in polys), default=1)
-        return [list(q) + [Fraction(0)] * (width - len(q)) for q in polys]
-    if any(isinstance(v, CyclotomicElement) for v in values):
-        order = 1
-        for v in values:
-            if isinstance(v, CyclotomicElement):
-                order = lcm(order, v.order)
-        rows = []
-        for v in values:
-            if not isinstance(v, CyclotomicElement):
-                v = CyclotomicElement.from_rational(v.as_fraction(), order)
-            rows.append(list(v.embed(order).coeffs))
-        return rows
-    return [[v.as_fraction()] for v in values]
+def _cyclotomic_row(value, order: int) -> list[Fraction]:
+    """Q-linear coordinates of a rational or cyclotomic scalar in Q(zeta_order)."""
+    if not isinstance(value, CyclotomicElement):
+        value = CyclotomicElement.from_rational(value.as_fraction(), order)
+    return list(value.embed(order).coeffs)
 
 
 def _exponent_vectors(count: int, degree: int) -> list[tuple[int, ...]]:
@@ -204,14 +182,20 @@ class Certificate:
 
 
 def evaluate_certificate(cert: Certificate, generators, projections) -> ExactScalar:
+    """Sum of the certificate's terms, with the generator combination of each
+    distinct monomial formed first and the monomial evaluated once."""
     generators = [as_scalar(g) for g in generators]
     projections = [as_scalar(p) for p in projections]
-    total = None
+    combos = {}
     for term in cert.terms:
         if term.generator >= len(generators):
             raise ValueError(f"unknown generator id {term.generator}")
-        value = generators[term.generator] * term.coefficient
-        for pid, exp in term.monomial:
+        part = generators[term.generator] * term.coefficient
+        prev = combos.get(term.monomial)
+        combos[term.monomial] = part if prev is None else prev + part
+    total = None
+    for monomial, value in combos.items():
+        for pid, exp in monomial:
             if pid >= len(projections):
                 raise ValueError(f"unknown projection id {pid}")
             value = value * projections[pid] ** exp
@@ -246,9 +230,13 @@ class MembershipProblem:
 class MembershipSolver:
     """Reusable search for integer Z[P]-combinations over fixed generators.
 
-    Column values (monomial times generator) are fixed at construction; the
-    rational coordinate matrix and its integer diagonalization are built once
-    per coordinate space and reused across targets.
+    Column values (monomial times generator) are fixed at construction, and
+    so is their coordinate space.  Parametric columns are written over their
+    common monic denominator D; the coordinate matrix and its integer
+    diagonalization are built once.  Cyclotomic and rational columns get one
+    matrix per cyclotomic order, the columns' own order or its lcm with a
+    target's, built on first use.  A target is then reduced to its coordinate
+    vector and solved against the cached matrix.
     """
 
     def __init__(self, generators, projections, degree_bound: int):
@@ -268,8 +256,19 @@ class MembershipSolver:
                     mono = mono * self.projections[pid] ** exp
             for gen in self.generators:
                 self.columns.append(mono * gen)
-        self._parametric = any(isinstance(c, ParamRational) for c in self.columns)
-        self._solvers: dict = {}
+        self._order = 1  # cyclotomic order of the columns
+        for v in self.columns:
+            if isinstance(v, CyclotomicElement):
+                self._order = lcm(self._order, v.order)
+        self._solvers: dict = {}  # cyclotomic order -> row solver
+        self._param = None  # (common denominator D, row count, row solver)
+        if any(isinstance(c, ParamRational) for c in self.columns):
+            common = _polys.ONE
+            for c in self.columns:
+                common = _polys.lcm(common, _as_param(c).den)
+            polys = [_param_numerator(c, common) for c in self.columns]
+            width = max((len(q) for q in polys), default=1)
+            self._param = (common, width, RationalRowSolver(_columns_to_rows(polys, width)))
 
     def _term_of_index(self, idx: int, coeff: int) -> CertTerm:
         gen = idx % len(self.generators)
@@ -277,44 +276,55 @@ class MembershipSolver:
         monomial = tuple((pid, exp) for pid, exp in enumerate(vec) if exp)
         return CertTerm(generator=gen, monomial=monomial, coefficient=coeff)
 
-    def _space_key(self, target):
-        if self._parametric or isinstance(target, ParamRational):
-            return None  # parametric systems are assembled per target
-        order = 1
-        for v in self.columns:
-            if isinstance(v, CyclotomicElement):
-                order = lcm(order, v.order)
+    def _system(self, target):
+        """(row solver, target coordinates), or None when the target lies
+        outside the columns' coordinate space."""
+        if self._param is not None:
+            common, width, solver = self._param
+            num = _param_numerator(target, common)
+            if num is None or len(num) > width:
+                return None  # denominator does not divide D, or degree too high
+            return solver, list(num) + [Fraction(0)] * (width - len(num))
+        order = self._order
         if isinstance(target, CyclotomicElement):
             order = lcm(order, target.order)
-        return order
+        solver = self._solvers.get(order)
+        if solver is None:
+            rows = [_cyclotomic_row(c, order) for c in self.columns]
+            solver = RationalRowSolver(_columns_to_rows(rows, len(rows[0])))
+            self._solvers[order] = solver
+        return solver, _cyclotomic_row(target, order)
 
     def solve(self, target) -> Certificate | None:
-        target = as_scalar(target)
-        key = self._space_key(target)
-        if key is None:
-            rows = _coordinate_rows([target] + self.columns)
-            b = rows[0]
-            matrix = [list(col) for col in zip(*rows[1:])]
-            solution = RationalRowSolver(matrix).solve(b)
-        else:
-            solver = self._solvers.get(key)
-            if solver is None:
-                rows = _coordinate_rows(
-                    [CyclotomicElement.root_of_unity(key, 0)] + list(self.columns)
-                )
-                matrix = [list(col) for col in zip(*rows[1:])]
-                solver = RationalRowSolver(matrix)
-                self._solvers[key] = solver
-            b_row = _coordinate_rows(
-                [CyclotomicElement.root_of_unity(key, 0), target]
-            )[1]
-            solution = solver.solve(b_row)
+        system = self._system(as_scalar(target))
+        solution = None if system is None else system[0].solve(system[1])
         if solution is None:
             return None
         terms = tuple(
             self._term_of_index(i, c) for i, c in enumerate(solution) if c
         )
         return Certificate(product=None, terms=terms, degree_bound=self.degree_bound)
+
+
+def _as_param(value) -> ParamRational:
+    if isinstance(value, ParamRational):
+        return value
+    return ParamRational.from_rational(value.as_fraction())
+
+
+def _param_numerator(value, common):
+    """Coefficients of common * value, or None when that is not a polynomial."""
+    value = _as_param(value)
+    mult, rem = _polys.divmod_(common, value.den)
+    return None if rem else _polys.mul(value.num, mult)
+
+
+def _columns_to_rows(columns, width: int) -> list[list[Fraction]]:
+    """Coordinate matrix with one column per coordinate vector, zero-padded."""
+    return [
+        [col[i] if i < len(col) else Fraction(0) for col in columns]
+        for i in range(width)
+    ]
 
 
 def membership(problem: MembershipProblem) -> Certificate | None:
@@ -461,10 +471,15 @@ def certificate_from_obj(obj) -> Certificate:
     )
     product = obj.get("product")
     return Certificate(
-        product=tuple(product) if product is not None else None,
+        product=tuple(int(v) for v in product) if product is not None else None,
         terms=terms,
         degree_bound=int(obj.get("degree_bound", 0)),
     )
+
+
+def _rational_or_obj(value):
+    """A rational value as its fraction string, any other as its scalar object."""
+    return str(value.as_fraction()) if value.is_rational() else value.to_obj()
 
 
 def verdict_to_obj(verdict) -> dict:
@@ -478,8 +493,8 @@ def verdict_to_obj(verdict) -> dict:
         out["certificates"] = [certificate_to_obj(c) for c in verdict.certificates]
     elif isinstance(verdict, NotRing):
         out["witness"] = verdict.witness.to_obj()
-        out["trace"] = str(verdict.trace.as_fraction())
-        out["norm"] = str(verdict.norm.as_fraction())
+        out["trace"] = _rational_or_obj(verdict.trace)
+        out["norm"] = _rational_or_obj(verdict.norm)
     else:
         out["degree_bound"] = verdict.degree_bound
         out["unresolved"] = [list(p) for p in verdict.unresolved]

@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .export import generations_to_csv, generations_to_obj, points_to_svg
-from .scalars import scalar_from_obj
+from .scalars import Rational, scalar_from_obj
 
 
 def _config_header(args, command: str) -> dict:
@@ -187,6 +187,13 @@ def cmd_check_ring(args) -> int:
     return {"ring": 0, "not_ring": 3, "unknown": 4}[verdict.verdict]
 
 
+def _declared_scalar(value):
+    """A trace or norm field: a fraction string or a scalar object."""
+    if isinstance(value, str):
+        return Rational(Fraction(value))
+    return scalar_from_obj(value)
+
+
 def cmd_verify(args) -> int:
     with (sys.stdin if args.path == "-" else open(args.path)) as fh:
         obj = json.load(fh)
@@ -198,6 +205,14 @@ def cmd_verify(args) -> int:
         if not certs:
             print("error: ring verdict without certificates", file=sys.stderr)
             return 3
+        pairs = [(i, j) for i in range(1, len(generators)) for j in range(i, len(generators))]
+        if sorted(c.product or () for c in certs) != pairs:
+            print(
+                "certificates must cover each generator pair (i, j), "
+                f"1 <= i <= j < {len(generators)}, exactly once",
+                file=sys.stderr,
+            )
+            return 3
         for idx, cert in enumerate(certs):
             if not verify_certificate(cert, generators, projections):
                 print(f"certificate {idx} FAILED re-verification", file=sys.stderr)
@@ -208,8 +223,7 @@ def cmd_verify(args) -> int:
         witness = scalar_from_obj(obj["witness"])
         trace = witness + witness.conj()
         norm = witness * witness.conj()
-        declared = (Fraction(obj["trace"]), Fraction(obj["norm"]))
-        if (trace.as_fraction(), norm.as_fraction()) != declared:
+        if (trace, norm) != (_declared_scalar(obj["trace"]), _declared_scalar(obj["norm"])):
             print("witness trace/norm mismatch", file=sys.stderr)
             return 3
         if trace.is_integer() and norm.is_integer():

@@ -68,34 +68,42 @@ def diagonalize(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int
     return u, a, v
 
 
-def _mat_vec(m, x):
-    return [sum(mij * xj for mij, xj in zip(row, x)) for row in m]
-
-
 class LinearSolver:
     """Reusable integer solver for a fixed coefficient matrix."""
 
     def __init__(self, matrix):
         self.rows = len(matrix)
         self.cols = len(matrix[0]) if self.rows else 0
-        self.u, d, self.v = diagonalize(matrix)
+        self.u, d, v = diagonalize(matrix)
         self.diag = [d[i][i] for i in range(min(self.rows, self.cols))]
+        # pivot i with d_i != 0 and the nonzero entries (j, V[j][i]) of column i
+        self._pivots = [
+            (i, di, [(j, row[i]) for j, row in enumerate(v) if row[i]])
+            for i, di in enumerate(self.diag)
+            if di
+        ]
+        self._zero_rows = [
+            i for i in range(self.rows) if i >= len(self.diag) or not self.diag[i]
+        ]
 
     def solve(self, b) -> list[int] | None:
+        """x with A*x = b, or None.  x = V*y with y_i = (U*b)_i / d_i, where y
+        is nonzero only at pivots, so only the pivot columns of V are used."""
         if len(b) != self.rows:
             raise ValueError("right-hand side has the wrong length")
-        ub = _mat_vec(self.u, [int(x) for x in b])
-        y = [0] * self.cols
-        for i in range(self.rows):
-            d = self.diag[i] if i < len(self.diag) else 0
-            if d == 0:
-                if ub[i] != 0:
-                    return None
-            else:
-                if ub[i] % d:
-                    return None
-                y[i] = ub[i] // d
-        return _mat_vec(self.v, y)
+        b = [int(x) for x in b]
+        ub = [sum(uij * bj for uij, bj in zip(row, b)) for row in self.u]
+        if any(ub[i] for i in self._zero_rows):
+            return None
+        x = [0] * self.cols
+        for i, d, column in self._pivots:
+            q, r = divmod(ub[i], d)
+            if r:
+                return None
+            if q:
+                for j, vji in column:
+                    x[j] += q * vji
+        return x
 
 
 def solve(matrix, b) -> list[int] | None:

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the production code paths they check:
 line intersection is re-derived from a 2x2 real linear solve, the closure
 step from one intersect call per ordered point pair, quadratic
 integrality from expanding (X - x)(X - conj(x)), lattice comparison from
-brute-force enumeration of truncated lattices.
+brute-force enumeration of truncated lattices.  The integer solve multiplies
+out the dense V*y, and parametric membership assembles a fresh coordinate
+matrix for every target.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from origami_rings import (
     CapExceededError,
     CyclotomicElement,
     GenerationSet,
+    ParamRational,
     Rational,
     UnitAngle,
     bracket,
@@ -21,6 +24,9 @@ from origami_rings import (
     real_imag_parts,
     root_of_unity,
 )
+from origami_rings import _polys
+from origami_rings.analysis import Certificate, CertTerm
+from origami_rings.diophantine import RationalRowSolver, diagonalize
 
 # Orders kept small so compositums stay within Q(zeta_24) in randomized
 # loops; order 5 would push merges into the 32-dimensional Q(zeta_120).
@@ -138,3 +144,61 @@ def oracle_step(gen, angles, max_points=250_000):
                             partial=GenerationSet(gen.depth + 1, found.values()),
                         )
     return GenerationSet(gen.depth + 1, found.values())
+
+
+def oracle_linear_solve(matrix, b):
+    """Integer solution of matrix * x = b as the full product V*y, with
+    y_i = (U*b)_i / d_i from the diagonalization U*A*V = D; None if none."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    u, d, v = diagonalize(matrix)
+    diag = [d[i][i] for i in range(min(rows, cols))]
+    ub = [sum(uij * int(bj) for uij, bj in zip(row, b)) for row in u]
+    y = [0] * cols
+    for i in range(rows):
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % di:
+                return None
+            y[i] = ub[i] // di
+    return [sum(vij * yj for vij, yj in zip(row, y)) for row in v]
+
+
+def param_coordinate_rows(values):
+    """(D, rows): the monic lcm D of the denominators of parametric scalars,
+    and for each value the coefficients of D*value, zero-padded to one width."""
+    ps = [v if isinstance(v, ParamRational) else ParamRational.from_rational(v.as_fraction()) for v in values]
+    common = _polys.ONE
+    for p in ps:
+        common = _polys.lcm(common, p.den)
+    polys = []
+    for p in ps:
+        mult, rem = _polys.divmod_(common, p.den)
+        assert not rem
+        polys.append(_polys.mul(p.num, mult))
+    width = max((len(q) for q in polys), default=1)
+    return common, [list(q) + [Fraction(0)] * (width - len(q)) for q in polys]
+
+
+def oracle_param_membership(solver, target):
+    """Certificate for target over the columns of a parametric MembershipSolver,
+    from a coordinate matrix assembled over the target and the columns together."""
+    _, rows = param_coordinate_rows([target] + list(solver.columns))
+    matrix = [list(col) for col in zip(*rows[1:])]
+    solution = RationalRowSolver(matrix).solve(rows[0])
+    if solution is None:
+        return None
+    n = len(solver.generators)
+    terms = tuple(
+        CertTerm(
+            generator=i % n,
+            monomial=tuple((pid, e) for pid, e in enumerate(solver.exponents[i // n]) if e),
+            coefficient=c,
+        )
+        for i, c in enumerate(solution)
+        if c
+    )
+    return Certificate(product=None, terms=terms, degree_bound=solver.degree_bound)

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from origami_rings import _polys
 from origami_rings import (
     AngleSet,
     Certificate,
+    ConstructionConfig,
     MembershipProblem,
     MembershipSolver,
     NotRing,
@@ -18,10 +20,12 @@ from origami_rings import (
     UnitAngle,
     UnsupportedConfigurationError,
     check_ring,
+    closure_to_depth,
     lattice_coordinates,
     lattice_descriptor,
     membership,
     minimal_polynomial_pair,
+    nontrivial_monomials,
     projection_set,
     quadratic_integer_test,
     root_of_unity,
@@ -36,7 +40,13 @@ from origami_rings.analysis import (
     evaluate_certificate,
     verdict_to_obj,
 )
-from helpers import brute_lattice_points, quadratic_oracle, random_fraction
+from helpers import (
+    brute_lattice_points,
+    oracle_param_membership,
+    param_coordinate_rows,
+    quadratic_oracle,
+    random_fraction,
+)
 
 
 def ua(order, k):
@@ -333,6 +343,43 @@ def test_membership_parametric():
     assert cert is not None
     assert verify_certificate(cert, generators, projections, expected=z1 * z2)
     assert z1 * z2 == z3  # the parametric analogue of the numeric identity
+
+
+def param_solver(degree_bound):
+    angles = param_angles()
+    generators = (Rational(1),) + tuple(m.value for m in nontrivial_monomials(angles))
+    return MembershipSolver(generators, projection_set(angles).nontrivial, degree_bound)
+
+
+def test_parametric_space_matches_per_target_assembly():
+    solver = param_solver(2)
+    s2 = closure_to_depth(ConstructionConfig(param_angles(), max_depth=2))[2]
+    assert len(s2) == 88
+    for point in s2.points:
+        cert = solver.solve(point)
+        assert cert is not None
+        assert cert == oracle_param_membership(solver, point)
+
+
+def test_parametric_space_rejects_like_per_target_assembly():
+    solver = param_solver(2)
+    common, rows = param_coordinate_rows(solver.columns)
+    width = len(rows[0])
+    t = ParamRational.t_power(1)
+    one = ParamRational.from_rational(Fraction(1))
+    d = ParamRational(common)
+    # denominators that do not divide D: t + 5, and D + 1, which leaves
+    # D = 1 * (D + 1) - 1, so D/(D + 1) would pass as the column 1 if the
+    # remainder were ignored
+    off_denominators = (one / (t + 5), d / (d + 1))
+    for target in off_denominators:
+        assert _polys.divmod_(common, target.den)[1]
+    # t^width: a polynomial with more coefficients than the matrix has rows
+    too_long = ParamRational.t_power(width)
+    assert len(_polys.mul(too_long.num, common)) > width
+    for target in off_denominators + (too_long,):
+        assert solver.solve(target) is None
+        assert oracle_param_membership(solver, target) is None
 
 
 def test_verify_rejects_corruption():

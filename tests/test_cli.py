@@ -218,6 +218,73 @@ def test_verify_not_ring_and_unknown(capsys, tmp_path):
     assert code == 4
 
 
+def example_ring_file(capsys, tmp_path):
+    out = tmp_path / "ring.json"
+    code, _, _ = invoke(
+        ["check-ring", "--angles", EXAMPLE, "--degree-bound", "2", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+def verify_obj(obj, capsys, tmp_path):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    return invoke(["verify", str(path)], capsys)
+
+
+def test_verify_rejects_dropped_certificate(capsys, tmp_path):
+    obj = example_ring_file(capsys, tmp_path)
+    assert len(obj["certificates"]) == 6
+    obj["certificates"] = obj["certificates"][:1]
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 3
+    assert "verified" not in stdout
+    assert "exactly once" in err
+
+
+def test_verify_rejects_duplicated_certificate(capsys, tmp_path):
+    obj = example_ring_file(capsys, tmp_path)
+    obj["certificates"][1] = obj["certificates"][0]
+    code, _, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 3
+    assert "exactly once" in err
+
+
+def test_verify_rejects_out_of_range_product(capsys, tmp_path):
+    obj = example_ring_file(capsys, tmp_path)
+    n = len(obj["generators"])
+    obj["certificates"][-1]["product"] = [1, n]
+    code, _, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 3
+    assert "exactly once" in err
+    # a certificate for the trivial generator 1 is not one of the pairs either
+    obj = example_ring_file(capsys, tmp_path)
+    obj["certificates"][0]["product"] = [0, 1]
+    code, _, _ = verify_obj(obj, capsys, tmp_path)
+    assert code == 3
+
+
+def test_not_ring_with_irrational_trace(capsys, tmp_path):
+    out = tmp_path / "nr.json"
+    code, _, _ = invoke(
+        ["check-ring", "--angles", "0,pi*1/4,pi*1/3", "--out", str(out)], capsys
+    )
+    assert code == 3
+    obj = json.loads(out.read_text())
+    assert obj["verdict"] == "not_ring"
+    assert obj["trace"]["backend"] == "cyclotomic"
+    code, stdout, _ = invoke(["verify", str(out)], capsys)
+    assert code == 0
+    assert "not a quadratic integer" in stdout
+    # a declared trace that differs from the witness's is caught exactly
+    obj["trace"]["coeffs"][0] = str(int(obj["trace"]["coeffs"][0]) + 1)
+    code, _, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 3
+    assert "mismatch" in err
+
+
 def test_verify_garbage_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"verdict": "sideways"}')

@@ -6,6 +6,8 @@ from itertools import product
 
 from origami_rings.diophantine import LinearSolver, RationalRowSolver, diagonalize, solve
 
+from helpers import oracle_linear_solve
+
 
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
@@ -130,3 +132,56 @@ def test_rational_row_solver_random_agreement():
         got = RationalRowSolver(rows).solve(b)
         assert got is not None
         assert [sum(r[j] * got[j] for j in range(3)) for r in rows] == b
+
+
+def low_rank_matrix(rng, r, c, rank, bound=3):
+    """r x c integer matrix of rank <= rank, as a product of random factors."""
+    left = rand_matrix(rng, r, rank, bound)
+    right = rand_matrix(rng, rank, c, bound)
+    return mat_mul(left, right) if rank else [[0] * c for _ in range(r)]
+
+
+def test_back_substitution_matches_dense_oracle():
+    rng = random.Random(75)
+    shapes = [(3, 12), (5, 40), (4, 80), (2, 7), (4, 4), (6, 3), (1, 9)]
+    for _ in range(25):
+        for r, c in shapes:
+            kind = rng.randrange(3)
+            if kind == 0:
+                a = rand_matrix(rng, r, c)
+            elif kind == 1:
+                a = low_rank_matrix(rng, r, c, rng.randint(0, min(r, c) - 1))
+            else:
+                a = rand_matrix(rng, r, c)
+                for i in rng.sample(range(r), rng.randint(1, r)):
+                    a[i] = [0] * c
+            s = LinearSolver(a)
+            planted = mat_vec(a, [rng.randint(-4, 4) for _ in range(c)])
+            free = [rng.randint(-20, 20) for _ in range(r)]
+            for b in (planted, free, [0] * r):
+                got = s.solve(b)
+                assert got == oracle_linear_solve(a, b)
+                if got is not None:
+                    assert mat_vec(a, got) == b
+            assert s.solve(planted) is not None
+
+
+def test_back_substitution_rejects_unsolvable_targets():
+    rng = random.Random(76)
+    rejected = 0
+    for _ in range(200):
+        r, c = rng.choice([(3, 12), (5, 40), (3, 3)])
+        a = low_rank_matrix(rng, r, c, rng.randint(1, r - 1))
+        b = [rng.randint(-9, 9) for _ in range(r)]
+        got = LinearSolver(a).solve(b)
+        assert got == oracle_linear_solve(a, b)
+        rejected += got is None
+    # rank-deficient systems leave most random targets without a solution
+    assert rejected > 100
+    # a divisibility obstruction on a wide system: every entry of row 0 is even
+    a = [[2 * v for v in row] for row in rand_matrix(rng, 1, 12)] + rand_matrix(rng, 2, 12)
+    x = [rng.randint(-3, 3) for _ in range(12)]
+    b = mat_vec(a, x)
+    b[0] += 1
+    assert LinearSolver(a).solve(b) is None
+    assert oracle_linear_solve(a, b) is None
