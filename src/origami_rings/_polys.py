@@ -1,12 +1,19 @@
-"""Dense univariate polynomial helpers over exact rationals.
+"""Dense univariate polynomial helpers.
 
-Polynomials are tuples of Fraction in ascending degree order with no
+Polynomials are tuples of coefficients in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple.
+
+Over Q (tuples of Fraction), `trim` and `divmod_` reduce by cyclotomic
+polynomials.  Over Z (tuples of int), the `z`-prefixed helpers carry the
+parametric backend: sums, products, exact division and a primitive
+pseudo-remainder gcd, all in integer arithmetic (Knuth, TAOCP vol. 2,
+4.6.1; Cohen, A Course in Computational Algebraic Number Theory, 3.3).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Poly = tuple
 
@@ -18,59 +25,9 @@ def trim(coeffs) -> Poly:
     return tuple(cs)
 
 
-def const(c) -> Poly:
-    return trim([c])
-
-
-ZERO: Poly = ()
-ONE: Poly = const(1)
-
-
 def degree(p: Poly) -> int:
     # degree of the zero polynomial reported as -1
     return len(p) - 1
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
-def neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return trim(out)
-
-
-def scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return ZERO
-    return tuple(a * c for a in p)
-
-
-def shift(p: Poly, k: int) -> Poly:
-    """Multiply by x**k."""
-    if not p:
-        return ZERO
-    return (Fraction(0),) * k + tuple(p)
 
 
 def divmod_(p: Poly, q: Poly) -> tuple[Poly, Poly]:
@@ -94,41 +51,106 @@ def divmod_(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     return trim(quo), trim(rem)
 
 
-def monic(p: Poly) -> Poly:
-    if not p:
-        return ZERO
-    lead = p[-1]
-    if lead == 1:
-        return p
-    return tuple(c / lead for c in p)
+# -- integer polynomials ---------------------------------------------------------
 
 
-def gcd(p: Poly, q: Poly) -> Poly:
-    # Euclid over Q[x]; result is monic (or zero when both inputs are zero)
-    while q:
-        p, q = q, divmod_(p, q)[1]
-    return monic(p)
+def ztrim(coeffs) -> Poly:
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
-def lcm(p: Poly, q: Poly) -> Poly:
+def zadd(p: Poly, q: Poly) -> Poly:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return ztrim(out)
+
+
+def zmul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
-        return ZERO
-    g = gcd(p, q)
-    return monic(divmod_(mul(p, q), g)[0])
+        return ()
+    if len(q) == 1:
+        c = q[0]
+        return p if c == 1 else tuple(a * c for a in p)
+    if len(p) == 1:
+        return zmul(q, p)
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return tuple(out)  # leading coefficient is a product of nonzeros
 
 
-def xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, s, t) with s*p + t*q = g, g monic."""
-    r0, r1 = p, q
-    s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
-    while r1:
-        quo, rem = divmod_(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub(s0, mul(quo, s1))
-        t0, t1 = t1, sub(t0, mul(quo, t1))
-    if not r0:
-        return ZERO, ZERO, ZERO
-    lead = r0[-1]
-    inv = 1 / lead
-    return scale(r0, inv), scale(s0, inv), scale(t0, inv)
+def primitive(p: Poly) -> Poly:
+    """p divided by the gcd of its coefficients, leading coefficient kept in sign."""
+    c = gcd(*p)
+    return p if c == 1 else tuple(a // c for a in p)
+
+
+def zdiv(p: Poly, q: Poly) -> Poly | None:
+    """Exact quotient p / q in Z[x], or None when q does not divide p there.
+
+    For a primitive q this is divisibility in Q[x] as well (Gauss's lemma).
+    """
+    nq = len(q)
+    if len(p) < nq:
+        return None if p else ()
+    rem = list(p)
+    lead = q[-1]
+    quo = [0] * (len(p) - nq + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + nq - 1], lead)
+        if r:
+            return None
+        if c:
+            quo[k] = c
+            for j in range(nq - 1):
+                rem[k + j] -= c * q[j]
+    if any(rem[: nq - 1]):
+        return None
+    return tuple(quo)
+
+
+def _prem(a: Poly, b: Poly) -> list:
+    """Pseudo-remainder of a by b (len(a) >= len(b) >= 2), up to a unit scale."""
+    rem = list(a)
+    lead = b[-1]
+    nb = len(b)
+    while len(rem) >= nb:
+        top = rem.pop()
+        k = len(rem) + 1 - nb
+        if lead != 1:
+            rem = [lead * c for c in rem]
+        for j in range(nb - 1):
+            rem[k + j] -= top * b[j]
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+def zgcd(p: Poly, q: Poly) -> Poly:
+    """Primitive gcd of two nonzero polynomials, positive leading coefficient."""
+    if len(p) < len(q):
+        p, q = q, p
+    if len(q) == 1:
+        return (1,)
+    p, q = primitive(p), primitive(q)
+    while True:
+        r = _prem(p, q)
+        if not r:
+            break
+        if len(r) == 1:
+            return (1,)
+        p, q = q, primitive(r)
+    return q if q[-1] > 0 else tuple(-c for c in q)
+
+
+def zlcm(p: Poly, q: Poly) -> Poly:
+    """Least common multiple of two primitive polynomials with positive
+    leading coefficients, itself primitive with a positive leading coefficient."""
+    return zmul(p, zdiv(q, zgcd(p, q)))

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import _polys
 from .construction import nontrivial_monomials, projection_set
 from .cyclotomic import CyclotomicElement, euler_phi
 from .diophantine import RationalRowSolver
 from .errors import UnsupportedConfigurationError
 from .geometry import AngleSet, UnitAngle, angle_arg_compare, intersect
-from .ratfunc import ParamRational
+from .ratfunc import ParamRational, common_denominator, scaled_numerator
 from .scalars import ExactScalar, Rational, as_scalar
 
 
@@ -263,10 +262,8 @@ class MembershipSolver:
         self._solvers: dict = {}  # cyclotomic order -> row solver
         self._param = None  # (common denominator D, row count, row solver)
         if any(isinstance(c, ParamRational) for c in self.columns):
-            common = _polys.ONE
-            for c in self.columns:
-                common = _polys.lcm(common, _as_param(c).den)
-            polys = [_param_numerator(c, common) for c in self.columns]
+            common = common_denominator(_as_param(c) for c in self.columns)
+            polys = [scaled_numerator(_as_param(c), common) for c in self.columns]
             width = max((len(q) for q in polys), default=1)
             self._param = (common, width, RationalRowSolver(_columns_to_rows(polys, width)))
 
@@ -281,7 +278,7 @@ class MembershipSolver:
         outside the columns' coordinate space."""
         if self._param is not None:
             common, width, solver = self._param
-            num = _param_numerator(target, common)
+            num = scaled_numerator(_as_param(target), common)
             if num is None or len(num) > width:
                 return None  # denominator does not divide D, or degree too high
             return solver, list(num) + [Fraction(0)] * (width - len(num))
@@ -310,13 +307,6 @@ def _as_param(value) -> ParamRational:
     if isinstance(value, ParamRational):
         return value
     return ParamRational.from_rational(value.as_fraction())
-
-
-def _param_numerator(value, common):
-    """Coefficients of common * value, or None when that is not a polynomial."""
-    value = _as_param(value)
-    mult, rem = _polys.divmod_(common, value.den)
-    return None if rem else _polys.mul(value.num, mult)
 
 
 def _columns_to_rows(columns, width: int) -> list[list[Fraction]]:

@@ -357,6 +357,7 @@ def run(argv=None) -> int:
     except (
         ValueError,
         ZeroDivisionError,
+        TypeError,
         OSError,
         KeyError,
         json.JSONDecodeError,

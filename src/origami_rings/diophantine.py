@@ -128,6 +128,8 @@ class RationalRowSolver:
         self._solver = LinearSolver(scaled)
 
     def solve(self, b) -> list[int] | None:
+        if len(b) != len(self.scales):
+            raise ValueError("right-hand side has the wrong length")
         bi = []
         for s, v in zip(self.scales, b):
             w = Fraction(v) * s

@@ -1,14 +1,19 @@
 """Rational functions of a formal unit-circle parameter t.
 
 ParamRational models Q(t) where t stands for a generic point on the unit
-circle, so complex conjugation acts by t -> 1/t.  Values are kept in the
-canonical form numerator/denominator with a monic denominator and gcd 1,
-which makes structural equality semantic equality.
+circle, so complex conjugation acts by t -> 1/t.  A value is stored as two
+integer polynomials N/D in canonical form: gcd(N, D) = 1 in Q[t], the
+coefficients of N and D together have gcd 1, and D has a positive leading
+coefficient.  Structural equality is then semantic equality.  The public
+`num` and `den` are the same value over Q with a monic denominator, built on
+first use.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import _polys
 from .errors import NonInvertibleError
@@ -16,41 +21,98 @@ from .intervals import ComplexInterval, interval_context, rational_to_iv
 from .scalars import ExactScalar, Rational
 
 
-def _normalize(num, den):
-    num = _polys.trim(num)
-    den = _polys.trim(den)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return (), _polys.ONE
-    g = _polys.gcd(num, den)
-    if _polys.degree(g) > 0:
-        num = _polys.divmod_(num, g)[0]
-        den = _polys.divmod_(den, g)[0]
-    lead = den[-1]
-    if lead != 1:
-        num = _polys.scale(num, 1 / lead)
-        den = _polys.scale(den, 1 / lead)
-    return num, den
+def _canonical(n, d):
+    """Canonical (N, D) for the integer polynomials n/d, d nonzero."""
+    if not n:
+        return (), (1,)
+    if len(n) > 1 and len(d) > 1:
+        g = _polys.zgcd(n, d)
+        if len(g) > 1:
+            n = _polys.zdiv(n, g)
+            d = _polys.zdiv(d, g)
+    c = gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n = tuple(a // c for a in n)
+        d = tuple(a // c for a in d)
+    return n, d
+
+
+def _reversed(p):
+    """Coefficients of t^deg(p) * p(1/t), with no trailing zeros."""
+    i = 0
+    while not p[i]:
+        i += 1
+    return tuple(reversed(p[i:]))
+
+
+def _ratio_str(c: int, lead: int) -> str:
+    """str(Fraction(c, lead)) for lead > 0, without building the Fraction."""
+    g = gcd(c, lead)
+    return str(c // g) if g == lead else f"{c // g}/{lead // g}"
 
 
 class ParamRational(ExactScalar):
     """Element of Q(t) with conjugation t -> 1/t."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d", "_num", "_den")
 
-    def __init__(self, num, den=(Fraction(1),)):
-        self.num, self.den = _normalize(num, den)
+    def __init__(self, num, den=(1,)):
+        num = [Fraction(c) for c in num]
+        den = [Fraction(c) for c in den]
+        scale = lcm(*(c.denominator for c in num + den))
+        n = _polys.ztrim(c.numerator * (scale // c.denominator) for c in num)
+        d = _polys.ztrim(c.numerator * (scale // c.denominator) for c in den)
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        self._n, self._d = _canonical(n, d)
+        self._num = None
+
+    @classmethod
+    def _of(cls, n, d) -> "ParamRational":
+        """Wrap an (N, D) pair that is already canonical."""
+        x = object.__new__(cls)
+        x._n, x._d, x._num = n, d, None
+        return x
+
+    @classmethod
+    def _reduced(cls, n, d) -> "ParamRational":
+        return cls._of(*_canonical(n, d))
 
     @classmethod
     def t_power(cls, k: int = 1) -> "ParamRational":
         if k >= 0:
-            return cls(_polys.shift(_polys.ONE, k))
-        return cls(_polys.ONE, _polys.shift(_polys.ONE, -k))
+            return cls._of((0,) * k + (1,), (1,))
+        return cls._of((1,), (0,) * -k + (1,))
 
     @classmethod
     def from_rational(cls, value) -> "ParamRational":
-        return cls(_polys.const(value))
+        value = Fraction(value)
+        if not value:
+            return cls._of((), (1,))
+        return cls._of((value.numerator,), (value.denominator,))
+
+    # -- coefficients over Q ----------------------------------------------------
+
+    def _monic(self):
+        lead = self._d[-1]
+        self._num = tuple(Fraction(c, lead) for c in self._n)
+        self._den = tuple(Fraction(c, lead) for c in self._d)
+
+    @property
+    def num(self) -> tuple:
+        """Numerator coefficients over Q, for the monic denominator `den`."""
+        if self._num is None:
+            self._monic()
+        return self._num
+
+    @property
+    def den(self) -> tuple:
+        """Monic denominator coefficients over Q."""
+        if self._num is None:
+            self._monic()
+        return self._den
 
     # -- backend hooks ------------------------------------------------------
 
@@ -58,44 +120,60 @@ class ParamRational(ExactScalar):
         return ParamRational.from_rational(r.value)
 
     def _add_same(self, other):
-        num = _polys.add(
-            _polys.mul(self.num, other.den), _polys.mul(other.num, self.den)
+        if self._d == other._d:
+            return ParamRational._reduced(_polys.zadd(self._n, other._n), self._d)
+        num = _polys.zadd(
+            _polys.zmul(self._n, other._d), _polys.zmul(other._n, self._d)
         )
-        return ParamRational(num, _polys.mul(self.den, other.den))
+        return ParamRational._reduced(num, _polys.zmul(self._d, other._d))
 
     def _mul_same(self, other):
-        return ParamRational(
-            _polys.mul(self.num, other.num), _polys.mul(self.den, other.den)
+        return ParamRational._reduced(
+            _polys.zmul(self._n, other._n), _polys.zmul(self._d, other._d)
         )
 
     def _eq_same(self, other):
-        return self.num == other.num and self.den == other.den
+        return self._n == other._n and self._d == other._d
 
     def neg(self):
-        return ParamRational(_polys.neg(self.num), self.den)
+        return ParamRational._of(tuple(-c for c in self._n), self._d)
 
     def inv(self):
-        if not self.num:
+        if not self._n:
             raise NonInvertibleError("inverse of zero")
-        return ParamRational(self.den, self.num)
+        n, d = self._d, self._n
+        if d[-1] < 0:
+            n, d = tuple(-c for c in n), tuple(-c for c in d)
+        return ParamRational._of(n, d)
 
     def conj(self):
-        """Substitute t -> 1/t and clear negative powers."""
-        if not self.num:
+        """Substitute t -> 1/t and clear negative powers.
+
+        With N = t^a N' and D = t^b D', the value becomes
+        t^(deg D - deg N) rev(N') / rev(D').  Reversals of coprime
+        polynomials with nonzero constant terms stay coprime, and the
+        coefficients do not change, so only the sign needs fixing.
+        """
+        n, d = self._n, self._d
+        if not n:
             return self
-        dn = _polys.degree(self.num)
-        dd = _polys.degree(self.den)
-        num = _polys.shift(tuple(reversed(self.num)), dd)
-        den = _polys.shift(tuple(reversed(self.den)), dn)
-        return ParamRational(num, den)
+        shift = len(d) - len(n)
+        n, d = _reversed(n), _reversed(d)
+        if shift > 0:
+            n = (0,) * shift + n
+        elif shift < 0:
+            d = (0,) * -shift + d
+        if d[-1] < 0:
+            n, d = tuple(-c for c in n), tuple(-c for c in d)
+        return ParamRational._of(n, d)
 
     # -- predicates and keys ------------------------------------------------
 
     def is_zero(self):
-        return not self.num
+        return not self._n
 
     def is_rational(self):
-        return _polys.degree(self.num) <= 0 and self.den == _polys.ONE
+        return len(self._n) <= 1 and len(self._d) == 1
 
     def is_real(self):
         # realness under every unit-circle specialization of t
@@ -104,17 +182,18 @@ class ParamRational(ExactScalar):
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
 
     def canonical_key(self):
         if self.is_rational():
             return b"Q:%s" % str(self.as_fraction()).encode()
-        num = ",".join(str(c) for c in self.num)
-        den = ",".join(str(c) for c in self.den)
+        lead = self._d[-1]
+        num = ",".join(_ratio_str(c, lead) for c in self._n)
+        den = ",".join(_ratio_str(c, lead) for c in self._d)
         return b"P:%s|%s" % (num.encode(), den.encode())
 
     def canonical_sign(self):
-        for c in self.num:
+        for c in self._n:
             if c:
                 return 1 if c > 0 else -1
         return 0
@@ -129,26 +208,8 @@ class ParamRational(ExactScalar):
         """
         if t_arg is None:
             raise ValueError("parametric scalar needs a specialization angle")
-        ctx = interval_context(bits)
-        if isinstance(t_arg, str):
-            if not t_arg.startswith("pi*"):
-                raise ValueError(f"bad specialization {t_arg!r}")
-            angle = ctx.pi * rational_to_iv(Fraction(t_arg[3:]), ctx)
-        elif isinstance(t_arg, float):
-            angle = ctx.mpf(t_arg)
-        else:
-            angle = rational_to_iv(Fraction(t_arg), ctx)
-        t = ComplexInterval(ctx.cos(angle), ctx.sin(angle), bits)
-        return self._eval_interval(self.num, t, bits) / self._eval_interval(
-            self.den, t, bits
-        )
-
-    @staticmethod
-    def _eval_interval(poly, t: ComplexInterval, bits: int) -> ComplexInterval:
-        acc = ComplexInterval.zero(bits)
-        for c in reversed(poly):
-            acc = acc * t + ComplexInterval.from_rationals(Fraction(c), Fraction(0), bits)
-        return acc
+        t = _unit_point(bits, t_arg)
+        return _eval_interval(self.num, t, bits) / _eval_interval(self.den, t, bits)
 
     def to_obj(self):
         if self.is_rational():
@@ -163,3 +224,56 @@ class ParamRational(ExactScalar):
         num = ",".join(str(c) for c in self.num) or "0"
         den = ",".join(str(c) for c in self.den)
         return f"ParamRational({num} / {den})"
+
+
+# Enclosures of t and of the coefficients are shared between values; each is
+# computed once per precision and reused in the same Horner sequence.
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _unit_point(bits: int, t_arg) -> ComplexInterval:
+    ctx = interval_context(bits)
+    if isinstance(t_arg, str):
+        if not t_arg.startswith("pi*"):
+            raise ValueError(f"bad specialization {t_arg!r}")
+        angle = ctx.pi * rational_to_iv(Fraction(t_arg[3:]), ctx)
+    elif isinstance(t_arg, float):
+        angle = ctx.mpf(t_arg)
+    else:
+        angle = rational_to_iv(Fraction(t_arg), ctx)
+    return ComplexInterval(ctx.cos(angle), ctx.sin(angle), bits)
+
+
+@functools.lru_cache(maxsize=4096)
+def _coefficient_interval(c: Fraction, bits: int) -> ComplexInterval:
+    return ComplexInterval.from_rationals(c, Fraction(0), bits)
+
+
+def _eval_interval(poly, t: ComplexInterval, bits: int) -> ComplexInterval:
+    acc = _coefficient_interval(Fraction(0), bits)
+    for c in reversed(poly):
+        acc = acc * t + _coefficient_interval(c, bits)
+    return acc
+
+
+# -- coordinates over a common denominator -----------------------------------------
+
+
+def common_denominator(values) -> tuple:
+    """Primitive integer lcm C of the denominators of parametric values,
+    with a positive leading coefficient."""
+    common = (1,)
+    for v in values:
+        common = _polys.zlcm(common, _polys.primitive(v._d))
+    return common
+
+
+def scaled_numerator(value: ParamRational, common) -> tuple | None:
+    """Coefficients over Q of value * C / lc(C), the value times the monic
+    form of `common`, or None when that is not a polynomial."""
+    d = _polys.primitive(value._d)
+    mult = _polys.zdiv(common, d)
+    if mult is None:
+        return None
+    scale = common[-1] * (value._d[-1] // d[-1])
+    return tuple(Fraction(c, scale) for c in _polys.zmul(mult, value._n))

@@ -6,7 +6,9 @@ step from one intersect call per ordered point pair, quadratic
 integrality from expanding (X - x)(X - conj(x)), lattice comparison from
 brute-force enumeration of truncated lattices.  The integer solve multiplies
 out the dense V*y, and parametric membership assembles a fresh coordinate
-matrix for every target.
+matrix for every target.  Parametric arithmetic is redone over Q with a
+Fraction polynomial Euclid on every operation (`oracle_param_*`), and its
+interval enclosures without shared caches.
 """
 
 from fractions import Fraction
@@ -24,9 +26,193 @@ from origami_rings import (
     real_imag_parts,
     root_of_unity,
 )
-from origami_rings import _polys
+from origami_rings._polys import degree, divmod_, trim
 from origami_rings.analysis import Certificate, CertTerm
 from origami_rings.diophantine import RationalRowSolver, diagonalize
+from origami_rings.intervals import ComplexInterval, interval_context, rational_to_iv
+
+# -- polynomials over Q ---------------------------------------------------------
+# Tuples of Fraction in ascending degree, as in origami_rings._polys.
+
+
+def const(c):
+    return trim([c])
+
+
+ZERO = ()
+ONE = const(1)
+
+
+def add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return trim(out)
+
+
+def neg(p):
+    return tuple(-c for c in p)
+
+
+def sub(p, q):
+    return add(p, neg(q))
+
+
+def mul(p, q):
+    if not p or not q:
+        return ZERO
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return trim(out)
+
+
+def scale(p, c):
+    c = Fraction(c)
+    if c == 0:
+        return ZERO
+    return tuple(a * c for a in p)
+
+
+def shift(p, k):
+    """Multiply by x**k."""
+    if not p:
+        return ZERO
+    return (Fraction(0),) * k + tuple(p)
+
+
+def monic(p):
+    if not p:
+        return ZERO
+    lead = p[-1]
+    if lead == 1:
+        return p
+    return tuple(c / lead for c in p)
+
+
+def gcd(p, q):
+    # Euclid over Q[x]; result is monic (or zero when both inputs are zero)
+    while q:
+        p, q = q, divmod_(p, q)[1]
+    return monic(p)
+
+
+def lcm(p, q):
+    if not p or not q:
+        return ZERO
+    g = gcd(p, q)
+    return monic(divmod_(mul(p, q), g)[0])
+
+
+def xgcd(p, q):
+    """Extended Euclid: returns (g, s, t) with s*p + t*q = g, g monic."""
+    r0, r1 = p, q
+    s0, s1 = ONE, ZERO
+    t0, t1 = ZERO, ONE
+    while r1:
+        quo, rem = divmod_(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, sub(s0, mul(quo, s1))
+        t0, t1 = t1, sub(t0, mul(quo, t1))
+    if not r0:
+        return ZERO, ZERO, ZERO
+    lead = r0[-1]
+    inv = 1 / lead
+    return scale(r0, inv), scale(s0, inv), scale(t0, inv)
+
+
+# -- parametric values over Q -----------------------------------------------------
+# A value is a pair (num, den) of Fraction polynomials, normalised as
+# ParamRational exposes it: gcd 1 and a monic denominator.
+
+
+def oracle_param_normalize(num, den):
+    num = trim(num)
+    den = trim(den)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return (), ONE
+    g = gcd(num, den)
+    if degree(g) > 0:
+        num = divmod_(num, g)[0]
+        den = divmod_(den, g)[0]
+    lead = den[-1]
+    if lead != 1:
+        num = scale(num, 1 / lead)
+        den = scale(den, 1 / lead)
+    return num, den
+
+
+def oracle_param_add(a, b):
+    return oracle_param_normalize(add(mul(a[0], b[1]), mul(b[0], a[1])), mul(a[1], b[1]))
+
+
+def oracle_param_mul(a, b):
+    return oracle_param_normalize(mul(a[0], b[0]), mul(a[1], b[1]))
+
+
+def oracle_param_neg(a):
+    return neg(a[0]), a[1]
+
+
+def oracle_param_inv(a):
+    if not a[0]:
+        raise ZeroDivisionError("inverse of zero")
+    return oracle_param_normalize(a[1], a[0])
+
+
+def oracle_param_conj(a):
+    """Substitute t -> 1/t and clear negative powers."""
+    num, den = a
+    if not num:
+        return a
+    return oracle_param_normalize(
+        shift(tuple(reversed(num)), degree(den)), shift(tuple(reversed(den)), degree(num))
+    )
+
+
+def oracle_param_is_rational(a):
+    return degree(a[0]) <= 0 and a[1] == ONE
+
+
+def oracle_param_key(a):
+    if oracle_param_is_rational(a):
+        return b"Q:%s" % str(a[0][0] if a[0] else Fraction(0)).encode()
+    num = ",".join(str(c) for c in a[0])
+    den = ",".join(str(c) for c in a[1])
+    return b"P:%s|%s" % (num.encode(), den.encode())
+
+
+def oracle_param_obj(a):
+    if oracle_param_is_rational(a):
+        return {"backend": "rational", "value": str(a[0][0] if a[0] else Fraction(0))}
+    return {"backend": "param", "num": [str(c) for c in a[0]], "den": [str(c) for c in a[1]]}
+
+
+def oracle_param_to_interval(a, bits, t_arg):
+    """Enclosure of a at t = exp(i*t_arg), every interval built afresh."""
+    ctx = interval_context(bits)
+    if isinstance(t_arg, str):
+        angle = ctx.pi * rational_to_iv(Fraction(t_arg[3:]), ctx)
+    elif isinstance(t_arg, float):
+        angle = ctx.mpf(t_arg)
+    else:
+        angle = rational_to_iv(Fraction(t_arg), ctx)
+    t = ComplexInterval(ctx.cos(angle), ctx.sin(angle), bits)
+
+    def horner(poly):
+        acc = ComplexInterval.zero(bits)
+        for c in reversed(poly):
+            acc = acc * t + ComplexInterval.from_rationals(Fraction(c), Fraction(0), bits)
+        return acc
+
+    return horner(a[0]) / horner(a[1])
+
 
 # Orders kept small so compositums stay within Q(zeta_24) in randomized
 # loops; order 5 would push merges into the 32-dimensional Q(zeta_120).
@@ -171,14 +357,14 @@ def param_coordinate_rows(values):
     """(D, rows): the monic lcm D of the denominators of parametric scalars,
     and for each value the coefficients of D*value, zero-padded to one width."""
     ps = [v if isinstance(v, ParamRational) else ParamRational.from_rational(v.as_fraction()) for v in values]
-    common = _polys.ONE
+    common = ONE
     for p in ps:
-        common = _polys.lcm(common, p.den)
+        common = lcm(common, p.den)
     polys = []
     for p in ps:
-        mult, rem = _polys.divmod_(common, p.den)
+        mult, rem = divmod_(common, p.den)
         assert not rem
-        polys.append(_polys.mul(p.num, mult))
+        polys.append(mul(p.num, mult))
     width = max((len(q) for q in polys), default=1)
     return common, [list(q) + [Fraction(0)] * (width - len(q)) for q in polys]
 

@@ -42,6 +42,7 @@ from origami_rings.analysis import (
 )
 from helpers import (
     brute_lattice_points,
+    mul,
     oracle_param_membership,
     param_coordinate_rows,
     quadratic_oracle,
@@ -376,10 +377,24 @@ def test_parametric_space_rejects_like_per_target_assembly():
         assert _polys.divmod_(common, target.den)[1]
     # t^width: a polynomial with more coefficients than the matrix has rows
     too_long = ParamRational.t_power(width)
-    assert len(_polys.mul(too_long.num, common)) > width
+    assert len(mul(too_long.num, common)) > width
     for target in off_denominators + (too_long,):
         assert solver.solve(target) is None
         assert oracle_param_membership(solver, target) is None
+
+
+def test_parametric_space_with_non_primitive_denominators():
+    # denominators 2 + 2t and 3t carry integer content 2 and 3
+    t = ParamRational.t_power(1)
+    half = ParamRational((1,), (2, 2))
+    third = ParamRational((1, 0, 1), (0, 3))
+    solver = MembershipSolver((Rational(1), half, third), (t + t.inv(),), 1)
+    solvable = (half * 3 + 1, third * (t + t.inv()) - half, half * (t + t.inv()) * -2)
+    unsolvable = (half / 2, third / 3, t * t * t * t)
+    for target in solvable + unsolvable:
+        cert = solver.solve(target)
+        assert (cert is not None) == (target in solvable)
+        assert cert == oracle_param_membership(solver, target)
 
 
 def test_verify_rejects_corruption():

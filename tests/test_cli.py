@@ -295,6 +295,14 @@ def test_verify_garbage_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_non_numeric_field_is_usage_error(capsys, tmp_path):
+    obj = example_ring_file(capsys, tmp_path)
+    obj["certificates"][0]["terms"][0]["coefficient"] = []
+    code, _, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 # --- lattice-eq -------------------------------------------------------------------
 
 

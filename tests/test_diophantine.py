@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from origami_rings.diophantine import LinearSolver, RationalRowSolver, diagonalize, solve
 
 from helpers import oracle_linear_solve
@@ -118,6 +120,14 @@ def test_rational_row_solver_scaling():
     assert got == [2, 1]
     # a target that stays fractional after clearing denominators is impossible
     assert s.solve([Fraction(1, 5), Fraction(1)]) is None
+
+
+def test_rational_row_solver_rejects_wrong_length():
+    # cut to two entries, [2, 1, 5] would be solved as [2, 1]
+    s = RationalRowSolver([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    for b in ([Fraction(2), Fraction(1), Fraction(5)], [Fraction(2)]):
+        with pytest.raises(ValueError):
+            s.solve(b)
 
 
 def test_rational_row_solver_random_agreement():

@@ -3,23 +3,9 @@
 import random
 from fractions import Fraction
 
-from origami_rings._polys import (
-    ONE,
-    ZERO,
-    add,
-    const,
-    degree,
-    divmod_,
-    gcd,
-    lcm,
-    monic,
-    mul,
-    scale,
-    shift,
-    sub,
-    trim,
-    xgcd,
-)
+from origami_rings._polys import degree, divmod_, primitive, trim, zadd, zdiv, zgcd, zlcm, zmul, ztrim
+
+from helpers import ONE, ZERO, add, const, gcd, lcm, monic, mul, scale, shift, sub, xgcd
 
 
 def rand_poly(rng, max_deg=5):
@@ -99,3 +85,33 @@ def test_scale_and_sub():
     assert scale(p, Fraction(3)) == (Fraction(3), Fraction(6))
     assert scale(p, Fraction(0)) == ZERO
     assert sub(p, p) == ZERO
+
+
+def rand_zpoly(rng, max_deg=4, bound=6):
+    return ztrim(rng.randint(-bound, bound) for _ in range(rng.randint(1, max_deg + 1)))
+
+
+def test_integer_gcd_matches_rational_gcd():
+    rng = random.Random(104)
+    for _ in range(200):
+        a, b, c = rand_zpoly(rng, 3), rand_zpoly(rng, 3), rand_zpoly(rng, 2)
+        if not (a and b and c):
+            continue
+        pa, pb = zmul(a, c), zmul(b, c)
+        g = zgcd(pa, pb)
+        assert g[-1] > 0 and primitive(g) == g
+        assert monic(trim(g)) == gcd(trim(pa), trim(pb))
+        for p in (pa, pb):
+            q = zdiv(p, g)
+            assert q is not None and zmul(q, g) == p
+
+
+def test_integer_exact_division_and_lcm():
+    t_minus_1, t_plus_1 = (-1, 1), (1, 1)
+    assert zdiv((-1, 0, 1), t_minus_1) == t_plus_1
+    assert zdiv((1, 0, 1), t_plus_1) is None  # remainder 2
+    assert zdiv((1, 1), (2, 2)) is None  # quotient 1/2 is not integral
+    assert zdiv((), t_plus_1) == ()
+    assert zlcm(t_minus_1, t_plus_1) == (-1, 0, 1)
+    assert zlcm((1,), (3, 2)) == (3, 2)
+    assert zadd((1, 2, 3), (0, 0, -3)) == (1, 2)

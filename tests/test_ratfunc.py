@@ -8,6 +8,21 @@ import pytest
 
 from origami_rings import NonInvertibleError, ParamRational, Rational, scalar_from_obj
 
+from helpers import (
+    mul,
+    oracle_param_add,
+    oracle_param_conj,
+    oracle_param_inv,
+    oracle_param_key,
+    oracle_param_mul,
+    oracle_param_neg,
+    oracle_param_normalize,
+    oracle_param_obj,
+    oracle_param_to_interval,
+    shift,
+    trim,
+)
+
 
 def f(*vals):
     return tuple(Fraction(v) for v in vals)
@@ -31,8 +46,6 @@ def test_normalization_invariants():
         # numerator and denominator share no factor: multiplying by (t-1)/(t-1)
         # must normalize back to the same representation
         lin = f(-1, 1)
-        from origami_rings._polys import mul
-
         y = ParamRational(mul(x.num, lin), mul(x.den, lin))
         assert y.num == x.num and y.den == x.den
 
@@ -147,3 +160,74 @@ def test_canonical_key_and_demotion():
     full = (1 + t * t).to_obj()
     assert full["backend"] == "param"
     assert scalar_from_obj(full) == 1 + t * t
+
+
+# (num, den) pairs with the shapes canonical forms must absorb: a shared
+# factor, integer content, a negative leading denominator coefficient, zero,
+# and powers of t in the denominator
+SPECIAL_PAIRS = [
+    (f(-1, 0, 1), f(-1, 1)),  # (t^2 - 1)/(t - 1)
+    (f(0, 2), f(4)),  # 2t/4
+    (f(1, 3), f(2, -5)),
+    (f(), f(3, 1)),
+    (f(1, 1), f(0, 0, 1)),  # (1 + t)/t^2
+    (f(0, 0, 3), f(0, 6)),  # 3t^2/(6t)
+    (f(Fraction(1, 2), Fraction(-2, 3)), f(Fraction(3, 4), 0, Fraction(-1, 5))),
+    (f(7), f(-14)),
+]
+
+
+def random_pair(rng):
+    def poly():
+        return trim(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 4)))
+
+    num, den = poly(), poly()
+    while not den:
+        den = poly()
+    shared = rng.choice([f(1), f(-1, 1), f(1, 0, 1), f(Fraction(2, 3), 3)])
+    return mul(num, shared), shift(mul(den, shared), rng.randint(0, 2))
+
+
+def assert_matches(x, pair):
+    num, den = pair
+    assert x.num == num and x.den == den
+    assert all(type(c) is Fraction for c in x.num + x.den)
+    assert x.canonical_key() == oracle_param_key(pair)
+    assert x.to_obj() == oracle_param_obj(pair)
+    y = ParamRational(num, den)
+    assert x == y and hash(x) == hash(y)
+    if x.is_rational():
+        assert hash(x) == hash(x.as_fraction())
+
+
+def test_arithmetic_matches_fraction_oracle():
+    rng = random.Random(44)
+    values = []
+    for pair in SPECIAL_PAIRS + [random_pair(rng) for _ in range(40)]:
+        x, px = ParamRational(*pair), oracle_param_normalize(*pair)
+        assert_matches(x, px)
+        values.append((x, px))
+    operands = [(a, b) for a in values[: len(SPECIAL_PAIRS)] for b in values[: len(SPECIAL_PAIRS)]]
+    operands += [(rng.choice(values), rng.choice(values)) for _ in range(250)]
+    for (a, pa), (b, pb) in operands:
+        assert_matches(a + b, oracle_param_add(pa, pb))
+        assert_matches(a - b, oracle_param_add(pa, oracle_param_neg(pb)))
+        assert_matches(a * b, oracle_param_mul(pa, pb))
+        assert_matches(-a, oracle_param_neg(pa))
+        assert_matches(a.conj(), oracle_param_conj(pa))
+        assert a.is_real() == (oracle_param_conj(pa) == pa)
+        if not b.is_zero():
+            assert_matches(b.inv(), oracle_param_inv(pb))
+            assert_matches(a / b, oracle_param_mul(pa, oracle_param_inv(pb)))
+
+
+@pytest.mark.parametrize("bits", [53, 200])
+@pytest.mark.parametrize("t_arg", ["pi*1/7", 0.3, Fraction(2, 5), 0.5, Fraction(1, 2)])
+def test_cached_interval_matches_fresh_enclosure(bits, t_arg):
+    rng = random.Random(45)
+    for pair in SPECIAL_PAIRS + [random_pair(rng) for _ in range(12)]:
+        x = ParamRational(*pair)
+        fresh = oracle_param_to_interval((x.num, x.den), bits, t_arg).endpoint_strings()
+        # the second call reads the cached enclosures of t and the coefficients
+        assert x.to_interval(bits, t_arg).endpoint_strings() == fresh
+        assert x.to_interval(bits, t_arg).endpoint_strings() == fresh
