@@ -281,7 +281,8 @@ def _add_common(sub, angles_required=True):
     sub.add_argument("--precision", type=int, default=64, help="interval bits")
     sub.add_argument(
         "--param-arg",
-        help="specialization angle in radians for parametric sets (e.g. pi*1/7)",
+        help="specialization angle pi*p/q for parametric sets, with p/q a "
+        "rational, so that t = exp(i*pi*p/q) (e.g. pi*1/7)",
     )
     sub.add_argument("--out", help="output path (default stdout)")
 

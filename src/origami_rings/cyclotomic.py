@@ -16,9 +16,17 @@ import functools
 import math
 from fractions import Fraction
 
+from mpmath.libmp import mpi_add, mpi_mul
+
 from . import _polys
 from .errors import NonInvertibleError
-from .intervals import ComplexInterval, interval_context, rational_to_iv
+from .intervals import (
+    ZERO,
+    ComplexInterval,
+    check_precision,
+    interval_context,
+    ratio_to_mpi,
+)
 from .scalars import ExactScalar, Rational
 
 
@@ -159,9 +167,10 @@ def _check_order(order) -> None:
 
 @functools.lru_cache(maxsize=200_000)
 def _trig(n: int, j: int, bits: int):
+    """Raw enclosures of cos and sin of 2*pi*j/n."""
     ctx = interval_context(bits)
     angle = 2 * ctx.pi * j / n
-    return ctx.cos(angle), ctx.sin(angle)
+    return ctx.cos(angle)._mpi_, ctx.sin(angle)._mpi_
 
 
 class CyclotomicElement(ExactScalar):
@@ -375,16 +384,16 @@ class CyclotomicElement(ExactScalar):
     def to_interval(self, bits: int, t_arg=None) -> ComplexInterval:
         if t_arg is not None:
             raise TypeError("specialization applies only to parametric scalars")
-        ctx = interval_context(bits)
-        re = ctx.mpf(0)
-        im = ctx.mpf(0)
-        for j, c in enumerate(self.coeffs):
+        check_precision(bits)
+        n, den = self.order, self._den
+        re = im = ZERO
+        for j, c in enumerate(self._num):
             if c:
-                cos_j, sin_j = _trig(self.order, j, bits)
-                civ = rational_to_iv(c, ctx)
-                re += civ * cos_j
-                im += civ * sin_j
-        return ComplexInterval(re, im, bits)
+                cos_j, sin_j = _trig(n, j, bits)
+                civ = ratio_to_mpi(c, den, bits)
+                re = mpi_add(re, mpi_mul(civ, cos_j, bits), bits)
+                im = mpi_add(im, mpi_mul(civ, sin_j, bits), bits)
+        return ComplexInterval._of(re, im, bits)
 
     def to_obj(self):
         if self.is_rational():

@@ -11,6 +11,7 @@ import csv
 import io
 
 from .construction import GenerationSet
+from .ratfunc import ParamRational
 
 
 def _first_appearance(gens: list[GenerationSet]):
@@ -34,7 +35,7 @@ def generations_to_csv(
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["re_lo", "re_hi", "im_lo", "im_hi", "canonical_key", "depth"])
     for point, depth in _first_appearance(gens):
-        iv = point.to_interval(bits, t_arg) if t_arg is not None else point.to_interval(bits)
+        iv = point.to_interval(bits, t_arg)
         re_lo, re_hi, im_lo, im_hi = iv.endpoint_strings()
         writer.writerow([re_lo, re_hi, im_lo, im_hi, point.canonical_key().decode(), depth])
     return buf.getvalue()
@@ -43,24 +44,19 @@ def generations_to_csv(
 def generations_to_obj(
     gens: list[GenerationSet], bits: int | None = None, t_arg=None
 ) -> dict:
-    """JSON-ready description; intervals included when bits is given (and the
-    backend either is numeric or a specialization angle is supplied)."""
+    """JSON-ready description; intervals included when bits is given.
+
+    Without a specialization angle, parametric points carry no interval; a
+    bad specialization raises as in the CSV and SVG exports."""
     out = []
     for gen in sorted(gens, key=lambda g: g.depth):
         points = []
         for p in gen.points:
             entry = {"value": p.to_obj(), "canonical_key": p.canonical_key().decode()}
-            if bits is not None:
-                try:
-                    iv = p.to_interval(bits, t_arg) if t_arg is not None else p.to_interval(bits)
-                except ValueError:
-                    iv = None
-                if iv is not None:
-                    re_lo, re_hi, im_lo, im_hi = iv.endpoint_strings()
-                    entry["interval"] = {
-                        "re": [re_lo, re_hi],
-                        "im": [im_lo, im_hi],
-                    }
+            if bits is not None and (t_arg is not None or not isinstance(p, ParamRational)):
+                iv = p.to_interval(bits, t_arg)
+                re_lo, re_hi, im_lo, im_hi = iv.endpoint_strings()
+                entry["interval"] = {"re": [re_lo, re_hi], "im": [im_lo, im_hi]}
             points.append(entry)
         out.append({"depth": gen.depth, "size": len(gen.points), "points": points})
     return {"generations": out}
@@ -95,7 +91,7 @@ def points_to_svg(
     lines.append(f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>')
     r = radius * scale
     for point, depth in _first_appearance(gens):
-        iv = point.to_interval(bits, t_arg) if t_arg is not None else point.to_interval(bits)
+        iv = point.to_interval(bits, t_arg)
         mid = iv.midpoint()
         if not (re_min <= mid.real <= re_max and im_min <= mid.imag <= im_max):
             continue

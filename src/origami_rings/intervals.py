@@ -1,36 +1,82 @@
-"""Directed complex interval arithmetic on top of mpmath's ivmpf type.
+"""Directed complex interval arithmetic on mpmath's libmp interval kernels.
 
 A ComplexInterval is a rectangle [re] x [im] whose endpoints are binary
 floats at a chosen working precision.  All constructors and operations round
 outward, so a ComplexInterval computed from an exact scalar always encloses
 the true value; refinement means recomputing at higher precision.
+
+Each part is held as a raw libmp interval, a (lo, hi) pair of mpf tuples, and
+the arithmetic calls mpmath.libmp directly (mpi_add, mpi_mul, ...), in the
+order and at the precision mpmath's ivmpf operators would use.  ivmpf objects
+appear only where mpmath evaluates pi, cos and sin, and as the `re` and `im`
+fields.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd
 
-from mpmath import ctx_iv, make_mpf, mp, nstr
+from mpmath import ctx_iv, make_mpf
+from mpmath.libmp import (
+    fzero,
+    from_int,
+    mpf_le,
+    mpi_add,
+    mpi_div,
+    mpi_mul,
+    mpi_neg,
+    mpi_sqrt,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+    to_str,
+)
 
 from .errors import PrecisionError
 
 MIN_PRECISION = 8
 
+ZERO = (fzero, fzero)
+
+
+def check_precision(bits: int) -> None:
+    if bits < MIN_PRECISION:
+        raise ValueError(f"interval precision below {MIN_PRECISION} bits")
+
 
 @functools.lru_cache(maxsize=None)
 def interval_context(bits: int):
-    if bits < MIN_PRECISION:
-        raise ValueError(f"interval precision below {MIN_PRECISION} bits")
+    check_precision(bits)
     ctx = ctx_iv.MPIntervalContext()
     ctx.prec = bits
     return ctx
 
 
+def ratio_to_mpi(num: int, den: int, bits: int):
+    """Raw enclosure of num/den for den > 0.
+
+    The fraction is reduced first, as Fraction(num, den) would be: from_int
+    rounds integers wider than bits, so the endpoints depend on the reduced
+    numerator and denominator.  The quotient is that of ctx.mpf(num) /
+    ctx.mpf(den) in an interval context of bits.
+    """
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return mpi_div(
+        (from_int(num, bits, round_floor), from_int(num, bits, round_ceiling)),
+        (from_int(den, bits, round_floor), from_int(den, bits, round_ceiling)),
+        bits,
+    )
+
+
 def rational_to_iv(q: Fraction, ctx):
-    # ctx.mpf cannot convert Fraction directly; divide two exact integers
+    """ivmpf enclosure of a rational in the interval context ctx."""
     q = Fraction(q)
-    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+    return ctx.make_mpf(ratio_to_mpi(q.numerator, q.denominator, ctx.prec))
 
 
 def iv_endpoints(iv):
@@ -40,104 +86,144 @@ def iv_endpoints(iv):
 
 
 def mpf_to_fraction(x) -> Fraction:
-    if not mp.isfinite(x):
+    """Exact value of a finite mpf, given as an mpf or as its raw tuple."""
+    sign, man, exp, _ = getattr(x, "_mpf_", x)
+    if not man and exp:
         raise PrecisionError("interval endpoint is not finite")
-    sign, man, exp, _ = x._mpf_
-    val = Fraction(int(man)) * Fraction(2) ** exp
-    return -val if sign else val
+    if sign:
+        man = -man
+    if exp >= 0:
+        return Fraction(man << exp)
+    return Fraction(man, 1 << -exp)
 
 
 def endpoint_str(x, bits: int) -> str:
+    """Decimal string of a raw mpf endpoint."""
     # enough decimal digits to round-trip the binary precision
-    return nstr(x, int(bits * 0.302) + 3)
+    return to_str(x, int(bits * 0.302) + 3)
+
+
+def _contains(outer, inner) -> bool:
+    return mpf_le(outer[0], inner[0]) and mpf_le(inner[1], outer[1])
 
 
 class ComplexInterval:
     """Axis-aligned rectangle enclosing a complex value."""
 
-    __slots__ = ("re", "im", "prec")
+    __slots__ = ("_re", "_im", "prec")
 
     def __init__(self, re, im, prec: int):
-        self.re = re
-        self.im = im
+        """re and im are ivmpf intervals."""
+        self._re = re._mpi_
+        self._im = im._mpi_
         self.prec = prec
 
     @classmethod
+    def _of(cls, re, im, prec: int) -> "ComplexInterval":
+        """Rectangle from raw libmp intervals."""
+        obj = object.__new__(cls)
+        obj._re = re
+        obj._im = im
+        obj.prec = prec
+        return obj
+
+    @classmethod
     def from_rationals(cls, re: Fraction, im: Fraction, bits: int):
-        ctx = interval_context(bits)
-        return cls(rational_to_iv(re, ctx), rational_to_iv(im, ctx), bits)
+        check_precision(bits)
+        re, im = Fraction(re), Fraction(im)
+        return cls._of(
+            ratio_to_mpi(re.numerator, re.denominator, bits),
+            ratio_to_mpi(im.numerator, im.denominator, bits),
+            bits,
+        )
 
     @classmethod
     def zero(cls, bits: int):
         return cls.from_rationals(Fraction(0), Fraction(0), bits)
 
-    def _ctx(self):
-        return interval_context(self.prec)
+    @property
+    def re(self):
+        """Real part as an ivmpf interval."""
+        return interval_context(self.prec).make_mpf(self._re)
 
-    def _align(self, other):
+    @property
+    def im(self):
+        """Imaginary part as an ivmpf interval."""
+        return interval_context(self.prec).make_mpf(self._im)
+
+    def _parts(self, other):
+        # endpoints carry over unchanged from another precision; the result
+        # is rounded at self.prec, so the enclosure is kept
         if not isinstance(other, ComplexInterval):
             raise TypeError("expected a ComplexInterval")
-        if other.prec == self.prec:
-            return other
-        ctx = self._ctx()
-        # conversion across precisions rounds outward, keeping the enclosure
-        return ComplexInterval(ctx.convert(other.re), ctx.convert(other.im), self.prec)
+        return other._re, other._im
 
     def __add__(self, other):
-        other = self._align(other)
-        return ComplexInterval(self.re + other.re, self.im + other.im, self.prec)
+        c, d = self._parts(other)
+        p = self.prec
+        return ComplexInterval._of(mpi_add(self._re, c, p), mpi_add(self._im, d, p), p)
 
     def __sub__(self, other):
-        other = self._align(other)
-        return ComplexInterval(self.re - other.re, self.im - other.im, self.prec)
+        c, d = self._parts(other)
+        p = self.prec
+        return ComplexInterval._of(mpi_sub(self._re, c, p), mpi_sub(self._im, d, p), p)
 
     def __neg__(self):
-        return ComplexInterval(-self.re, -self.im, self.prec)
+        p = self.prec
+        return ComplexInterval._of(mpi_neg(self._re, p), mpi_neg(self._im, p), p)
 
     def __mul__(self, other):
-        other = self._align(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return ComplexInterval(a * c - b * d, a * d + b * c, self.prec)
+        c, d = self._parts(other)
+        a, b, p = self._re, self._im, self.prec
+        return ComplexInterval._of(
+            mpi_sub(mpi_mul(a, c, p), mpi_mul(b, d, p), p),
+            mpi_add(mpi_mul(a, d, p), mpi_mul(b, c, p), p),
+            p,
+        )
 
     def __truediv__(self, other):
-        other = self._align(other)
-        c, d = other.re, other.im
-        den = c * c + d * d
-        lo, _ = iv_endpoints(den)
-        if not mp.isfinite(lo) or lo <= 0:
+        c, d = self._parts(other)
+        a, b, p = self._re, self._im, self.prec
+        den = mpi_add(mpi_mul(c, c, p), mpi_mul(d, d, p), p)
+        sign, man, _, _ = den[0]
+        if sign or not man:
+            # the lower end is negative, zero or not finite
             raise PrecisionError(
                 "division by an interval that may contain zero; raise precision"
             )
-        a, b = self.re, self.im
-        return ComplexInterval((a * c + b * d) / den, (b * c - a * d) / den, self.prec)
+        return ComplexInterval._of(
+            mpi_div(mpi_add(mpi_mul(a, c, p), mpi_mul(b, d, p), p), den, p),
+            mpi_div(mpi_sub(mpi_mul(b, c, p), mpi_mul(a, d, p), p), den, p),
+            p,
+        )
 
     def conj(self):
-        return ComplexInterval(self.re, -self.im, self.prec)
+        return ComplexInterval._of(self._re, mpi_neg(self._im, self.prec), self.prec)
 
     def magnitude(self):
         """Real interval (ivmpf) enclosing the absolute value."""
-        ctx = self._ctx()
-        return ctx.sqrt(self.re * self.re + self.im * self.im)
+        a, b, p = self._re, self._im, self.prec
+        sq = mpi_add(mpi_mul(a, a, p), mpi_mul(b, b, p), p)
+        return interval_context(p).make_mpf(mpi_sqrt(sq, p))
 
     def real_bounds(self) -> tuple[Fraction, Fraction]:
-        lo, hi = iv_endpoints(self.re)
+        lo, hi = self._re
         return mpf_to_fraction(lo), mpf_to_fraction(hi)
 
     def imag_bounds(self) -> tuple[Fraction, Fraction]:
-        lo, hi = iv_endpoints(self.im)
+        lo, hi = self._im
         return mpf_to_fraction(lo), mpf_to_fraction(hi)
 
     def magnitude_bounds(self) -> tuple[Fraction, Fraction]:
-        lo, hi = iv_endpoints(self.magnitude())
+        lo, hi = self.magnitude()._mpi_
         return mpf_to_fraction(lo), mpf_to_fraction(hi)
 
     def encloses(self, other: "ComplexInterval") -> bool:
-        other = self._align(other)
-        return other.re in self.re and other.im in self.im
+        c, d = self._parts(other)
+        return _contains(self._re, c) and _contains(self._im, d)
 
     def contains_value(self, re: Fraction, im: Fraction = Fraction(0)) -> bool:
-        ctx = self._ctx()
-        return rational_to_iv(re, ctx) in self.re and rational_to_iv(im, ctx) in self.im
+        return self.encloses(ComplexInterval.from_rationals(re, im, self.prec))
 
     def contains_zero(self) -> bool:
         return self.contains_value(Fraction(0), Fraction(0))
@@ -154,8 +240,7 @@ class ComplexInterval:
 
     def endpoint_strings(self) -> tuple[str, str, str, str]:
         """(re_lo, re_hi, im_lo, im_hi) as decimal strings."""
-        rlo, rhi = iv_endpoints(self.re)
-        ilo, ihi = iv_endpoints(self.im)
+        (rlo, rhi), (ilo, ihi) = self._re, self._im
         b = self.prec
         return (
             endpoint_str(rlo, b),

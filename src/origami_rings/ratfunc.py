@@ -15,9 +15,17 @@ import functools
 from fractions import Fraction
 from math import gcd, lcm
 
+from mpmath.libmp import mpi_add, mpi_mul, mpi_sub
+
 from . import _polys
 from .errors import NonInvertibleError
-from .intervals import ComplexInterval, interval_context, rational_to_iv
+from .intervals import (
+    ZERO,
+    ComplexInterval,
+    interval_context,
+    ratio_to_mpi,
+    rational_to_iv,
+)
 from .scalars import ExactScalar, Rational
 
 
@@ -209,7 +217,8 @@ class ParamRational(ExactScalar):
         if t_arg is None:
             raise ValueError("parametric scalar needs a specialization angle")
         t = _unit_point(bits, t_arg)
-        return _eval_interval(self.num, t, bits) / _eval_interval(self.den, t, bits)
+        lead = self._d[-1]
+        return _horner(self._n, lead, t, bits) / _horner(self._d, lead, t, bits)
 
     def to_obj(self):
         if self.is_rational():
@@ -226,8 +235,7 @@ class ParamRational(ExactScalar):
         return f"ParamRational({num} / {den})"
 
 
-# Enclosures of t and of the coefficients are shared between values; each is
-# computed once per precision and reused in the same Horner sequence.
+# The enclosure of t is computed once per precision and specialization.
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -244,16 +252,22 @@ def _unit_point(bits: int, t_arg) -> ComplexInterval:
     return ComplexInterval(ctx.cos(angle), ctx.sin(angle), bits)
 
 
-@functools.lru_cache(maxsize=4096)
-def _coefficient_interval(c: Fraction, bits: int) -> ComplexInterval:
-    return ComplexInterval.from_rationals(c, Fraction(0), bits)
+def _horner(coeffs, lead: int, t: ComplexInterval, bits: int) -> ComplexInterval:
+    """Enclosure of the sum of c/lead * t^k over the coefficients c of t^k.
 
-
-def _eval_interval(poly, t: ComplexInterval, bits: int) -> ComplexInterval:
-    acc = _coefficient_interval(Fraction(0), bits)
-    for c in reversed(poly):
-        acc = acc * t + _coefficient_interval(c, bits)
-    return acc
+    Each step is the complex product acc * t followed by the sum with the
+    coefficient's rectangle [c/lead] x [0], on raw libmp intervals.
+    """
+    tr, ti = t._re, t._im
+    re = im = ZERO
+    for c in reversed(coeffs):
+        re, im = (
+            mpi_sub(mpi_mul(re, tr, bits), mpi_mul(im, ti, bits), bits),
+            mpi_add(mpi_mul(re, ti, bits), mpi_mul(im, tr, bits), bits),
+        )
+        re = mpi_add(re, ratio_to_mpi(c, lead, bits), bits)
+        im = mpi_add(im, ZERO, bits)
+    return ComplexInterval._of(re, im, bits)
 
 
 # -- coordinates over a common denominator -----------------------------------------

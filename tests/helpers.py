@@ -7,17 +7,21 @@ integrality from expanding (X - x)(X - conj(x)), lattice comparison from
 brute-force enumeration of truncated lattices.  The integer solve multiplies
 out the dense V*y, and parametric membership assembles a fresh coordinate
 matrix for every target.  Parametric arithmetic is redone over Q with a
-Fraction polynomial Euclid on every operation (`oracle_param_*`), and its
-interval enclosures without shared caches.
+Fraction polynomial Euclid on every operation (`oracle_param_*`).  Interval
+enclosures are redone with mpmath's ivmpf operators (`OracleInterval`),
+without shared caches.
 """
 
 from fractions import Fraction
+
+from mpmath import make_mpf, mp, nstr
 
 from origami_rings import (
     CapExceededError,
     CyclotomicElement,
     GenerationSet,
     ParamRational,
+    PrecisionError,
     Rational,
     UnitAngle,
     bracket,
@@ -29,7 +33,7 @@ from origami_rings import (
 from origami_rings._polys import degree, divmod_, trim
 from origami_rings.analysis import Certificate, CertTerm
 from origami_rings.diophantine import RationalRowSolver, diagonalize
-from origami_rings.intervals import ComplexInterval, interval_context, rational_to_iv
+from origami_rings.intervals import interval_context
 
 # -- polynomials over Q ---------------------------------------------------------
 # Tuples of Fraction in ascending degree, as in origami_rings._polys.
@@ -195,23 +199,117 @@ def oracle_param_obj(a):
 
 
 def oracle_param_to_interval(a, bits, t_arg):
-    """Enclosure of a at t = exp(i*t_arg), every interval built afresh."""
+    """Enclosure of a at t = exp(i*t_arg), every interval built afresh with
+    ivmpf operators."""
     ctx = interval_context(bits)
     if isinstance(t_arg, str):
-        angle = ctx.pi * rational_to_iv(Fraction(t_arg[3:]), ctx)
+        angle = ctx.pi * oracle_rational_iv(Fraction(t_arg[3:]), ctx)
     elif isinstance(t_arg, float):
         angle = ctx.mpf(t_arg)
     else:
-        angle = rational_to_iv(Fraction(t_arg), ctx)
-    t = ComplexInterval(ctx.cos(angle), ctx.sin(angle), bits)
+        angle = oracle_rational_iv(Fraction(t_arg), ctx)
+    t = OracleInterval(ctx.cos(angle), ctx.sin(angle), bits)
 
     def horner(poly):
-        acc = ComplexInterval.zero(bits)
+        acc = OracleInterval.from_rationals(0, 0, bits)
         for c in reversed(poly):
-            acc = acc * t + ComplexInterval.from_rationals(Fraction(c), Fraction(0), bits)
+            acc = acc * t + OracleInterval.from_rationals(c, 0, bits)
         return acc
 
     return horner(a[0]) / horner(a[1])
+
+
+# -- complex intervals on ivmpf objects ----------------------------------------
+# The interval layer as it was before it moved onto raw libmp tuples: every
+# operation goes through mpmath's ivmpf operators.  origami_rings.intervals
+# must reproduce its endpoints bit for bit.
+
+
+def oracle_rational_iv(q, ctx):
+    q = Fraction(q)
+    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+
+
+class OracleInterval:
+    """Rectangle [re] x [im] of two ivmpf intervals."""
+
+    __slots__ = ("re", "im", "prec")
+
+    def __init__(self, re, im, prec):
+        self.re = re
+        self.im = im
+        self.prec = prec
+
+    @classmethod
+    def from_rationals(cls, re, im, bits):
+        ctx = interval_context(bits)
+        return cls(oracle_rational_iv(re, ctx), oracle_rational_iv(im, ctx), bits)
+
+    def _align(self, other):
+        if other.prec == self.prec:
+            return other
+        ctx = interval_context(self.prec)
+        return OracleInterval(ctx.convert(other.re), ctx.convert(other.im), self.prec)
+
+    def __add__(self, other):
+        other = self._align(other)
+        return OracleInterval(self.re + other.re, self.im + other.im, self.prec)
+
+    def __sub__(self, other):
+        other = self._align(other)
+        return OracleInterval(self.re - other.re, self.im - other.im, self.prec)
+
+    def __neg__(self):
+        return OracleInterval(-self.re, -self.im, self.prec)
+
+    def __mul__(self, other):
+        other = self._align(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return OracleInterval(a * c - b * d, a * d + b * c, self.prec)
+
+    def __truediv__(self, other):
+        other = self._align(other)
+        c, d = other.re, other.im
+        den = c * c + d * d
+        lo = make_mpf(den._mpi_[0])
+        if not mp.isfinite(lo) or lo <= 0:
+            raise PrecisionError("division by an interval that may contain zero")
+        a, b = self.re, self.im
+        return OracleInterval((a * c + b * d) / den, (b * c - a * d) / den, self.prec)
+
+    def conj(self):
+        return OracleInterval(self.re, -self.im, self.prec)
+
+    def magnitude(self):
+        return interval_context(self.prec).sqrt(self.re * self.re + self.im * self.im)
+
+    def encloses(self, other):
+        other = self._align(other)
+        return other.re in self.re and other.im in self.im
+
+    def mpi(self):
+        """(re, im) as raw libmp intervals."""
+        return self.re._mpi_, self.im._mpi_
+
+    def endpoint_strings(self):
+        digits = int(self.prec * 0.302) + 3
+        ends = (*self.re._mpi_, *self.im._mpi_)
+        return tuple(nstr(make_mpf(e), digits) for e in ends)
+
+
+def oracle_cyclotomic_interval(x, bits):
+    """Enclosure of a CyclotomicElement: the sum of coefficient * zeta^j, with
+    cos and sin evaluated afresh for every term."""
+    ctx = interval_context(bits)
+    re = ctx.mpf(0)
+    im = ctx.mpf(0)
+    for j, c in enumerate(x.coeffs):
+        if c:
+            angle = 2 * ctx.pi * j / x.order
+            civ = oracle_rational_iv(c, ctx)
+            re += civ * ctx.cos(angle)
+            im += civ * ctx.sin(angle)
+    return OracleInterval(re, im, bits)
 
 
 # Orders kept small so compositums stay within Q(zeta_24) in randomized

@@ -114,6 +114,31 @@ def test_construct_param_needs_specialization(capsys):
     json.loads(stdout)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+@pytest.mark.parametrize("arg", ["0.3", "1/3", "pi*x"])
+def test_construct_param_bad_specialization(capsys, fmt, arg):
+    # only pi*p/q is accepted; every format refuses the rest with exit 2
+    code, stdout, err = invoke(
+        ["construct", "--angles", PARAM, "--depth", "1", "--format", fmt, "--param-arg", arg],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:")
+    code, stdout, _ = invoke(
+        ["construct", "--angles", PARAM, "--depth", "1", "--format", fmt,
+         "--param-arg", "pi*1/3"],
+        capsys,
+    )
+    assert code == 0 and stdout
+
+
+def test_param_arg_help_states_grammar(capsys):
+    code, stdout, _ = invoke(["construct", "--help"], capsys)
+    assert code == 0
+    assert "pi*p/q" in stdout
+
+
 def test_plot_alias(capsys):
     code, stdout, _ = invoke(["plot", "--angles", THREE_RING, "--depth", "2"], capsys)
     assert code == 0

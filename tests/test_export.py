@@ -89,6 +89,12 @@ def test_obj_param_without_specialization_omits_intervals():
     assert all("interval" in e for e in entries2)
 
 
+def test_obj_bad_specialization_raises():
+    gens = param_gens()
+    with pytest.raises(ValueError):
+        generations_to_obj(gens, bits=64, t_arg="0.3")
+
+
 def test_svg_output():
     gens = example_gens()
     svg = points_to_svg(gens, 64, header={"angles": "x"})

@@ -228,6 +228,6 @@ def test_cached_interval_matches_fresh_enclosure(bits, t_arg):
     for pair in SPECIAL_PAIRS + [random_pair(rng) for _ in range(12)]:
         x = ParamRational(*pair)
         fresh = oracle_param_to_interval((x.num, x.den), bits, t_arg).endpoint_strings()
-        # the second call reads the cached enclosures of t and the coefficients
+        # the second call reads the cached enclosure of t
         assert x.to_interval(bits, t_arg).endpoint_strings() == fresh
         assert x.to_interval(bits, t_arg).endpoint_strings() == fresh
