@@ -10,11 +10,18 @@ their real-axis projections.
 
 from __future__ import annotations
 
+import logging
+import math
+import time
 from dataclasses import dataclass
+from operator import sub
 
+from .cyclotomic import AmbientField, CyclotomicElement, field_order
 from .errors import CapExceededError, ParallelLinesError
 from .geometry import AngleSet, UnitAngle, bracket, intersect, project_to_real_axis
 from .scalars import ExactScalar, Rational
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -74,9 +81,103 @@ def step(gen: GenerationSet, angles: AngleSet, max_points: int = 250_000) -> Gen
     pair's intersections form the grid U - V over the distinct offsets, and
     each candidate costs one subtraction.  Offsets and candidates run in the
     order of their first point, so every value is first met at the same
-    (pair, p, q) as with one intersect call per ordered point pair.
+    (pair, p, q) as with one intersect call per ordered point pair, and is
+    stored as that intersect call would store it.
+
+    Numeric sets run on integer vectors in one cyclotomic field (see
+    `_vector_step`); parametric sets run on scalars.  Each step logs one
+    DEBUG record to the ``origami_rings.construction`` logger, with the
+    ambient order, the distinct offsets (|U|, |V|) per pair, the candidates,
+    the new points and the seconds taken.
     """
+    start = time.perf_counter()
+    numeric = not angles.is_parametric() and all(
+        isinstance(p, (Rational, CyclotomicElement)) for p in gen.points
+    )
+    if numeric:
+        order, points, sizes = _vector_step(gen, angles, max_points)
+    else:
+        order = None
+        points, sizes = _scalar_step(gen, angles, max_points)
+    out = GenerationSet(gen.depth + 1, points)
+    if log.isEnabledFor(logging.DEBUG):
+        stats = {
+            "depth": out.depth,
+            "order": order,
+            "offsets": sizes,
+            "candidates": sum(nu * nv for nu, nv in sizes),
+            "new_points": len(out) - len(gen),
+            "seconds": time.perf_counter() - start,
+        }
+        log.debug(
+            "closure step to depth %(depth)d: order %(order)s, offsets %(offsets)s, "
+            "%(candidates)d candidates, %(new_points)d new points, %(seconds).6f s",
+            stats,
+        )
+    return out
+
+
+def _cap_exceeded(gen: GenerationSet, max_points: int, points) -> CapExceededError:
+    return CapExceededError(
+        f"generation {gen.depth + 1} exceeds {max_points} points",
+        partial=GenerationSet(gen.depth + 1, points),
+    )
+
+
+def _vector_step(gen: GenerationSet, angles: AngleSet, max_points: int):
+    """The step on integer vectors at one ambient order N, the lcm of the
+    direction orders and of the point orders.
+
+    With the multipliers of `AngleSet.offset_multipliers`, each offset is
+    U_p = x*conj(p) - y*p and V_q = x*conj(q) - y'*q, where x*conj(p) serves
+    both sides.  Every value of the step sits over one common denominator, so
+    a value's numerator tuple names it and no canonical key is computed.  A
+    new point becomes a scalar at the order the scalar formula gives it, the
+    lcm of the orders of alpha, beta, p and q, so stored representatives
+    match `intersect`.  Returns (N, points, offset sizes per pair).
+    """
+    point_orders = [field_order(p) for p in gen.points]
+    n = math.lcm(*(field_order(a.value) for a in angles), *point_orders)
+    field = AmbientField(n)
+    mults = [[field.vector(m) for m in triple] for triple in angles.offset_multipliers()]
+    d = math.lcm(*(den for triple in mults for _, den in triple))
+    vecs = [field.vector(p) for p in gen.points]
+    g = math.lcm(*(den for _, den in vecs))
+    nums = [[c * (g // den) for c in num] for num, den in vecs]
+    conjs = [field.conj(num) for num in nums]
+    seen = {tuple(c * d for c in num) for num in nums}
+    new = []
+
+    def build():
+        return list(gen.points) + [field.element(z, d * g, o) for z, o in new]
+
+    sizes = []
+    for (alpha, beta), triple in zip(angles.pairs(), mults):
+        x, y, y2 = ([c * (d // den) for c in num] for num, den in triple)
+        pair_order = math.lcm(field_order(alpha.value), field_order(beta.value))
+        us, vs = {}, {}
+        for num, conj, p_order in zip(nums, conjs, point_orders):
+            xc = field.mul(x, conj)
+            order = math.lcm(pair_order, p_order)
+            us.setdefault(tuple(map(sub, xc, field.mul(y, num))), order)
+            vs.setdefault(tuple(map(sub, xc, field.mul(y2, num))), order)
+        sizes.append((len(us), len(vs)))
+        for u, ou in us.items():
+            for v, ov in vs.items():
+                z = tuple(map(sub, u, v))
+                if z not in seen:
+                    seen.add(z)
+                    new.append((z, math.lcm(ou, ov)))
+                    if len(seen) > max_points:
+                        raise _cap_exceeded(gen, max_points, build())
+    return n, build(), sizes
+
+
+def _scalar_step(gen: GenerationSet, angles: AngleSet, max_points: int):
+    """The step on scalars, deduplicated by canonical key.  Returns (points,
+    offset sizes per pair)."""
     found = {p.canonical_key(): p for p in gen.points}
+    sizes = []
     for alpha, beta in angles.pairs():
         a, b = alpha.value, beta.value
         denom = bracket(a, b)
@@ -85,6 +186,7 @@ def step(gen: GenerationSet, angles: AngleSet, max_points: int = 250_000) -> Gen
         b_scaled, a_scaled = b / denom, a / denom
         us = _distinct(bracket(a, p) * b_scaled for p in gen.points)
         vs = _distinct(bracket(b, q) * a_scaled for q in gen.points)
+        sizes.append((len(us), len(vs)))
         for u in us:
             for v in vs:
                 z = u - v
@@ -92,11 +194,8 @@ def step(gen: GenerationSet, angles: AngleSet, max_points: int = 250_000) -> Gen
                 if k not in found:
                     found[k] = z
                     if len(found) > max_points:
-                        raise CapExceededError(
-                            f"generation {gen.depth + 1} exceeds {max_points} points",
-                            partial=GenerationSet(gen.depth + 1, found.values()),
-                        )
-    return GenerationSet(gen.depth + 1, found.values())
+                        raise _cap_exceeded(gen, max_points, found.values())
+    return found.values(), sizes
 
 
 def _distinct(values) -> list[ExactScalar]:

@@ -5,9 +5,11 @@ basis 1, z, ..., z^(phi(n)-1) with z = exp(2*pi*i/n), always reduced mod the
 n-th cyclotomic polynomial, as integer numerators over one positive common
 denominator in lowest terms.  Sums, products, Galois maps and embeddings
 work on the integers; only products and exponent maps need reducing, which a
-per-order table of x^k mod Phi_n does.  Canonical keys first descend to the
-smallest cyclotomic field containing the value, so equal values constructed
-in different orders compare and hash identically.
+per-order table of x^k mod Phi_n does.  `AmbientField` hands the same
+integer vectors to bulk work at one order, such as the closure step.
+Canonical keys first descend to the smallest cyclotomic field containing the
+value, so equal values constructed in different orders compare and hash
+identically.
 """
 
 from __future__ import annotations
@@ -101,6 +103,36 @@ def _power_table(n: int):
         if top:
             row = [c - top * t for c, t in zip(row, low)]
     return tuple(rows)
+
+
+def _vec_mul(n: int, a, b) -> list[int]:
+    """Numerators of the product of two reduced numerator vectors of order n."""
+    phi = len(a)
+    prod = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    # x^k for k >= phi folds back through the table of x^k mod Phi_n
+    out = prod[:phi]
+    table = _power_table(n)
+    for k in range(phi, 2 * phi - 1):
+        c = prod[k]
+        if c:
+            for i, t in table[k]:
+                out[i] += c * t
+    return out
+
+
+def _vec_map(num, order: int, mult: int) -> list[int]:
+    """Numerators with z^j sent to zeta_order^(j*mult), reduced in order."""
+    table = _power_table(order)
+    out = [0] * euler_phi(order)
+    for j, c in enumerate(num):
+        if c:
+            for i, t in table[(j * mult) % order]:
+                out[i] += c * t
+    return out
 
 
 def _normalize(num, den: int):
@@ -251,22 +283,9 @@ class CyclotomicElement(ExactScalar):
 
     def _mul_same(self, other):
         n = self.order
-        a, b = self._num, other._num
-        phi = len(a)
-        prod = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    prod[j] += x * y
-        # x^k for k >= phi folds back through the table of x^k mod Phi_n
-        out = prod[:phi]
-        table = _power_table(n)
-        for k in range(phi, 2 * phi - 1):
-            c = prod[k]
-            if c:
-                for i, t in table[k]:
-                    out[i] += c * t
-        return CyclotomicElement._make(n, out, self._den * other._den)
+        return CyclotomicElement._make(
+            n, _vec_mul(n, self._num, other._num), self._den * other._den
+        )
 
     def _eq_same(self, other):
         return self._num == other._num and self._den == other._den
@@ -297,13 +316,7 @@ class CyclotomicElement(ExactScalar):
 
     def _map_exponents(self, order: int, mult: int) -> "CyclotomicElement":
         """The value with z^j sent to zeta_order^(j*mult), reduced in order."""
-        table = _power_table(order)
-        out = [0] * euler_phi(order)
-        for j, c in enumerate(self._num):
-            if c:
-                for i, t in table[(j * mult) % order]:
-                    out[i] += c * t
-        return CyclotomicElement._make(order, out, self._den)
+        return CyclotomicElement._make(order, _vec_map(self._num, order, mult), self._den)
 
     def galois(self, k: int) -> "CyclotomicElement":
         """Apply the automorphism zeta -> zeta^k; requires gcd(k, order) = 1."""
@@ -407,3 +420,55 @@ class CyclotomicElement(ExactScalar):
     def __repr__(self):
         body = ",".join(str(c) for c in self.coeffs)
         return f"CyclotomicElement({self.order}; {body})"
+
+
+def field_order(x) -> int:
+    """Order of the cyclotomic field a numeric scalar is stored in; 1 for a Rational."""
+    return 1 if isinstance(x, Rational) else x.order
+
+
+class AmbientField:
+    """Integer coordinates in one field Q(zeta_n), for arithmetic in bulk.
+
+    A value becomes its numerator vector over the reduced power basis of
+    order n plus a positive denominator.  Conjugates and products of such
+    vectors are again integer vectors, so a caller can hold many values over
+    one common denominator, where equal values have equal numerators, and
+    compare or hash them as tuples.  Only `element` builds a scalar again.
+    """
+
+    __slots__ = ("order",)
+
+    def __init__(self, order: int):
+        _check_order(order)
+        self.order = order
+
+    def vector(self, x) -> tuple[list[int], int]:
+        """Numerators and denominator of a Rational or CyclotomicElement whose
+        order divides this one."""
+        n = self.order
+        if isinstance(x, Rational):
+            v = x.value
+            return [v.numerator] + [0] * (euler_phi(n) - 1), v.denominator
+        if x.order == n:
+            return list(x._num), x._den
+        if n % x.order:
+            raise ValueError(f"{x.order} does not divide {n}")
+        return _vec_map(x._num, n, n // x.order), x._den
+
+    def conj(self, num) -> list[int]:
+        return _vec_map(num, self.order, self.order - 1)
+
+    def mul(self, a, b) -> list[int]:
+        return _vec_mul(self.order, a, b)
+
+    def element(self, num, den: int, order: int) -> CyclotomicElement:
+        """The value num/den, stored in Q(zeta_order); order divides this one
+        and the field must hold the value."""
+        if order != self.order:
+            sol = _subfield_coords(self.order, order, num)
+            if sol is None:
+                raise ValueError(f"value does not lie in Q(zeta_{order})")
+            num, scale = sol
+            den *= scale
+        return CyclotomicElement._make(order, num, den)

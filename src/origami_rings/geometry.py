@@ -155,7 +155,7 @@ def angle_arg_compare(a: UnitAngle, b: UnitAngle) -> int:
 class AngleSet:
     """Pairwise-distinct unit directions, sorted by argument."""
 
-    __slots__ = ("angles",)
+    __slots__ = ("angles", "_multipliers")
 
     def __init__(self, angles):
         wrapped = [a if isinstance(a, UnitAngle) else UnitAngle(a) for a in angles]
@@ -178,6 +178,7 @@ class AngleSet:
         self.angles = tuple(
             sorted(wrapped, key=functools.cmp_to_key(angle_arg_compare))
         )
+        self._multipliers = None
 
     def contains_one(self) -> bool:
         return any(a.is_one() for a in self.angles)
@@ -194,6 +195,25 @@ class AngleSet:
         for i in range(n):
             for j in range(i + 1, n):
                 yield self.angles[i], self.angles[j]
+
+    def offset_multipliers(self) -> tuple[tuple[ExactScalar, ExactScalar, ExactScalar], ...]:
+        """Per direction pair, in `pairs` order, the scalars (x, y, y') that
+        write the line offsets of the closure step as U_p = x*conj(p) - y*p and
+        V_q = x*conj(q) - y'*q, so intersect(alpha, beta, p, q) = U_p - V_q:
+        x = alpha*beta/[alpha, beta], y = conj(alpha)*beta/[alpha, beta] and
+        y' = alpha*conj(beta)/[alpha, beta].  Computed once per instance.
+        """
+        if self._multipliers is None:
+            out = []
+            for alpha, beta in self.pairs():
+                a, b = alpha.value, beta.value
+                denom = bracket(a, b)
+                if denom.is_zero():
+                    raise ParallelLinesError("directions coincide mod sign")
+                inv = denom.inv()
+                out.append((a * b * inv, a.conj() * b * inv, a * b.conj() * inv))
+            self._multipliers = tuple(out)
+        return self._multipliers
 
     def __len__(self):
         return len(self.angles)

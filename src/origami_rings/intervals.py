@@ -27,7 +27,6 @@ from mpmath.libmp import (
     mpi_div,
     mpi_mul,
     mpi_neg,
-    mpi_sqrt,
     mpi_sub,
     round_ceiling,
     round_floor,
@@ -200,22 +199,12 @@ class ComplexInterval:
     def conj(self):
         return ComplexInterval._of(self._re, mpi_neg(self._im, self.prec), self.prec)
 
-    def magnitude(self):
-        """Real interval (ivmpf) enclosing the absolute value."""
-        a, b, p = self._re, self._im, self.prec
-        sq = mpi_add(mpi_mul(a, a, p), mpi_mul(b, b, p), p)
-        return interval_context(p).make_mpf(mpi_sqrt(sq, p))
-
     def real_bounds(self) -> tuple[Fraction, Fraction]:
         lo, hi = self._re
         return mpf_to_fraction(lo), mpf_to_fraction(hi)
 
     def imag_bounds(self) -> tuple[Fraction, Fraction]:
         lo, hi = self._im
-        return mpf_to_fraction(lo), mpf_to_fraction(hi)
-
-    def magnitude_bounds(self) -> tuple[Fraction, Fraction]:
-        lo, hi = self.magnitude()._mpi_
         return mpf_to_fraction(lo), mpf_to_fraction(hi)
 
     def encloses(self, other: "ComplexInterval") -> bool:

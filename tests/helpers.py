@@ -280,9 +280,6 @@ class OracleInterval:
     def conj(self):
         return OracleInterval(self.re, -self.im, self.prec)
 
-    def magnitude(self):
-        return interval_context(self.prec).sqrt(self.re * self.re + self.im * self.im)
-
     def encloses(self, other):
         other = self._align(other)
         return other.re in self.re and other.im in self.im

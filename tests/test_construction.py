@@ -1,5 +1,6 @@
 """Closure construction, elementary monomials, projections."""
 
+import logging
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from origami_rings import (
     AngleSet,
     CapExceededError,
     ConstructionConfig,
+    CyclotomicElement,
     GenerationSet,
     ParamRational,
     Rational,
@@ -150,10 +152,13 @@ def test_step_matches_oracle_step():
     # the line-offset step meets every value at the same (pair, p, q) as one
     # intersect call per ordered point pair, so keys and stored
     # representations (which exports print) agree at every depth
+    mixed = AngleSet([ua(1, 0), ua(10, 1), ua(8, 1), ua(6, 1)])
     cases = [
         (example_angles(), 2),
         (AngleSet([ua(1, 0), ua(12, 1), ua(6, 1)]), 3),
-        (AngleSet([ua(1, 0), ua(10, 1), ua(8, 1), ua(6, 1)]), 2),
+        (mixed, 2),
+        (AngleSet([ua(1, 0), ua(20, 1), ua(24, 1)]), 3),  # order 120
+        (AngleSet([ua(1, 0), ua(10, 1), ua(6, 1)]), 3),  # order 30
         (param_angles(), 1),
     ]
     for angles, depth in cases:
@@ -161,13 +166,59 @@ def test_step_matches_oracle_step():
         for _ in range(depth):
             fast, slow = step(fast, angles), oracle_step(slow, angles)
             assert _point_records(fast) == _point_records(slow)
+    # a generation built under other directions: its points' orders (up to
+    # 60) do not divide the directions' order 24, and the new points are
+    # stored at orders 24, 60 and 120
+    foreign = step(initial_generation(), AngleSet([ua(1, 0), ua(20, 1), ua(12, 1)]))
+    other = AngleSet([ua(1, 0), ua(24, 1), ua(4, 1)])
+    fast, slow = step(foreign, other), oracle_step(foreign, other)
+    assert len(fast) == 32
+    assert _point_records(fast) == _point_records(slow)
     # a cap overflow truncates both at the same point
-    s1 = step(initial_generation(), example_angles())
-    with pytest.raises(CapExceededError) as fast_err:
-        step(s1, example_angles(), max_points=30)
-    with pytest.raises(CapExceededError) as slow_err:
-        oracle_step(s1, example_angles(), max_points=30)
-    assert _point_records(fast_err.value.partial) == _point_records(slow_err.value.partial)
+    for angles, cap in ((example_angles(), 30), (mixed, 60)):
+        s1 = step(initial_generation(), angles)
+        with pytest.raises(CapExceededError) as fast_err:
+            step(s1, angles, max_points=cap)
+        with pytest.raises(CapExceededError) as slow_err:
+            oracle_step(s1, angles, max_points=cap)
+        fast_partial, slow_partial = fast_err.value.partial, slow_err.value.partial
+        assert len(fast_partial) == cap + 1
+        assert _point_records(fast_partial) == _point_records(slow_partial)
+
+
+def test_numeric_step_keys_only_new_points(monkeypatch):
+    # offsets and candidates are compared as integer vectors; canonical keys
+    # (and so minimal forms) are computed only for the points a step adds
+    for angles in (example_angles(), AngleSet([ua(1, 0), ua(10, 1), ua(8, 1), ua(6, 1)])):
+        s1 = step(initial_generation(), angles)
+        calls = []
+        minimal_form = CyclotomicElement.minimal_form
+
+        def counting(self):
+            calls.append(self)
+            return minimal_form(self)
+
+        monkeypatch.setattr(CyclotomicElement, "minimal_form", counting)
+        s2 = step(s1, angles)
+        monkeypatch.setattr(CyclotomicElement, "minimal_form", minimal_form)
+        assert 0 < len(calls) <= len(s2)
+
+
+def test_step_logs_counts(caplog):
+    # hand counts for the example set: distinct line offsets |U| + |V| summed
+    # over the six direction pairs, the |U|*|V| candidates, the new points
+    caplog.set_level(logging.DEBUG, logger="origami_rings.construction")
+    closure_to_depth(ConstructionConfig(example_angles(), max_depth=2))
+    stats = [r.args for r in caplog.records if r.name == "origami_rings.construction"]
+    assert len(stats) == 2
+    expected = [(1, 21, 18, 6), (2, 57, 132, 76)]
+    for st, (depth, offsets, candidates, new) in zip(stats, expected):
+        assert st["depth"] == depth and st["order"] == 12
+        assert len(st["offsets"]) == 6
+        assert sum(nu + nv for nu, nv in st["offsets"]) == offsets
+        assert st["candidates"] == candidates
+        assert st["new_points"] == new
+        assert st["seconds"] >= 0
 
 
 # --- elementary monomials -------------------------------------------------------

@@ -111,7 +111,6 @@ def test_complex_ops_match_oracle(bits):
     for x, ox in pairs:
         assert mpi(-x) == (-ox).mpi()
         assert mpi(x.conj()) == ox.conj().mpi()
-        assert x.magnitude()._mpi_ == ox.magnitude()._mpi_
         for y, oy in pairs:
             assert mpi(x + y) == (ox + oy).mpi()
             assert mpi(x - y) == (ox - oy).mpi()
