@@ -1,57 +1,18 @@
-"""Dense univariate polynomial helpers.
+"""Dense univariate integer polynomials.
 
-Polynomials are tuples of coefficients in ascending degree order with no
-trailing zeros; the zero polynomial is the empty tuple.
-
-Over Q (tuples of Fraction), `trim` and `divmod_` reduce by cyclotomic
-polynomials.  Over Z (tuples of int), the `z`-prefixed helpers carry the
-parametric backend: sums, products, exact division and a primitive
-pseudo-remainder gcd, all in integer arithmetic (Knuth, TAOCP vol. 2,
-4.6.1; Cohen, A Course in Computational Algebraic Number Theory, 3.3).
+Polynomials are tuples of int coefficients in ascending degree order with no
+trailing zeros; the zero polynomial is the empty tuple.  These helpers are
+the integer kernel of the parametric backend: sums, products, exact
+division and a primitive pseudo-remainder gcd, all in integer arithmetic
+(Knuth, TAOCP vol. 2, 4.6.1; Cohen, A Course in Computational Algebraic
+Number Theory, 3.3).  Exact division also gives the cyclotomic polynomials.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 Poly = tuple
-
-
-def trim(coeffs) -> Poly:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def degree(p: Poly) -> int:
-    # degree of the zero polynomial reported as -1
-    return len(p) - 1
-
-
-def divmod_(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    dq = degree(q)
-    lead = q[-1]
-    quo = [Fraction(0)] * max(0, len(p) - dq)
-    while len(rem) - 1 >= dq and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        f = rem[-1] / lead
-        k = len(rem) - 1 - dq
-        quo[k] = f
-        for i, c in enumerate(q):
-            rem[k + i] -= f * c
-        rem.pop()
-    return trim(quo), trim(rem)
-
-
-# -- integer polynomials ---------------------------------------------------------
 
 
 def ztrim(coeffs) -> Poly:

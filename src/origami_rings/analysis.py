@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .construction import nontrivial_monomials, projection_set
-from .cyclotomic import CyclotomicElement, euler_phi
+from .cyclotomic import AmbientField, field_order
 from .diophantine import RationalRowSolver
 from .errors import UnsupportedConfigurationError
 from .geometry import AngleSet, UnitAngle, angle_arg_compare, intersect
@@ -48,25 +48,6 @@ def minimal_polynomial_pair(x) -> tuple[ExactScalar, ExactScalar]:
     """Coefficients (c1, c0) of X^2 + c1*X + c0 = (X - x)(X - conj x)."""
     x = as_scalar(x)
     return -(x + x.conj()), x * x.conj()
-
-
-@dataclass(frozen=True)
-class LatticeDescriptor:
-    """The lattice Z + xZ with the exact real/imaginary split of x."""
-
-    x: ExactScalar
-    re_part: ExactScalar
-    im_part: ExactScalar
-
-
-def lattice_descriptor(x) -> LatticeDescriptor:
-    from .scalars import real_imag_parts
-
-    x = as_scalar(x)
-    if x.is_real():
-        raise ValueError("x is real; the lattice Z + xZ is degenerate")
-    re, im = real_imag_parts(x)
-    return LatticeDescriptor(x=x, re_part=re, im_part=im)
 
 
 def same_lattice(x, y) -> bool:
@@ -140,13 +121,6 @@ def tangent_point(theta: UnitAngle, phi: UnitAngle) -> ExactScalar:
 # -- Z[P]-module membership ----------------------------------------------------
 
 
-def _cyclotomic_row(value, order: int) -> list[Fraction]:
-    """Q-linear coordinates of a rational or cyclotomic scalar in Q(zeta_order)."""
-    if not isinstance(value, CyclotomicElement):
-        value = CyclotomicElement.from_rational(value.as_fraction(), order)
-    return list(value.embed(order).coeffs)
-
-
 def _exponent_vectors(count: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples over `count` variables with total degree <= degree,
     by ascending degree, lexicographic within a degree."""
@@ -218,24 +192,15 @@ def verify_certificate(cert: Certificate, generators, projections, expected=None
     return evaluate_certificate(cert, generators, projections) == as_scalar(expected)
 
 
-@dataclass(frozen=True)
-class MembershipProblem:
-    target: ExactScalar
-    generators: tuple[ExactScalar, ...]
-    projections: tuple[ExactScalar, ...]
-    degree_bound: int = 3
-
-
 class MembershipSolver:
     """Reusable search for integer Z[P]-combinations over fixed generators.
 
     Column values (monomial times generator) are fixed at construction, and
-    so is their coordinate space.  Parametric columns are written over their
-    common monic denominator D; the coordinate matrix and its integer
-    diagonalization are built once.  Cyclotomic and rational columns get one
-    matrix per cyclotomic order, the columns' own order or its lcm with a
-    target's, built on first use.  A target is then reduced to its coordinate
-    vector and solved against the cached matrix.
+    so is one integer coordinate space for them: numeric columns are integer
+    vectors in Q(zeta_N), N the lcm of the column orders; parametric columns
+    are numerators over their common denominator D.  The coordinate matrix
+    and its integer diagonalization are built once.  A target is mapped into
+    the same space, or rejected when it lies outside, and solved against it.
     """
 
     def __init__(self, generators, projections, degree_bound: int):
@@ -255,17 +220,25 @@ class MembershipSolver:
                     mono = mono * self.projections[pid] ** exp
             for gen in self.generators:
                 self.columns.append(mono * gen)
-        self._order = 1  # cyclotomic order of the columns
-        for v in self.columns:
-            if isinstance(v, CyclotomicElement):
-                self._order = lcm(self._order, v.order)
-        self._solvers: dict = {}  # cyclotomic order -> row solver
-        self._param = None  # (common denominator D, row count, row solver)
         if any(isinstance(c, ParamRational) for c in self.columns):
-            common = common_denominator(_as_param(c) for c in self.columns)
-            polys = [scaled_numerator(_as_param(c), common) for c in self.columns]
-            width = max((len(q) for q in polys), default=1)
-            self._param = (common, width, RationalRowSolver(_columns_to_rows(polys, width)))
+            self._field = None
+            self._common = common_denominator(_as_param(c) for c in self.columns)
+        else:
+            self._field = AmbientField(lcm(*(field_order(c) for c in self.columns)))
+        cols = [self._coordinates(c) for c in self.columns]
+        self._width = max(len(c) for c in cols)
+        rows = [[c[i] if i < len(c) else 0 for c in cols] for i in range(self._width)]
+        self._solver = RationalRowSolver(rows)
+
+    def _coordinates(self, value):
+        """Coordinates of a scalar in the solver's space, unpadded, or None
+        when the value lies outside Q(zeta_N) or its denominator does not
+        divide D."""
+        if self._field is not None:
+            vec = self._field.vector(value)
+            return None if vec is None else [Fraction(c, vec[1]) for c in vec[0]]
+        num = scaled_numerator(_as_param(value), self._common)
+        return None if num is None else list(num)
 
     def _term_of_index(self, idx: int, coeff: int) -> CertTerm:
         gen = idx % len(self.generators)
@@ -273,28 +246,11 @@ class MembershipSolver:
         monomial = tuple((pid, exp) for pid, exp in enumerate(vec) if exp)
         return CertTerm(generator=gen, monomial=monomial, coefficient=coeff)
 
-    def _system(self, target):
-        """(row solver, target coordinates), or None when the target lies
-        outside the columns' coordinate space."""
-        if self._param is not None:
-            common, width, solver = self._param
-            num = scaled_numerator(_as_param(target), common)
-            if num is None or len(num) > width:
-                return None  # denominator does not divide D, or degree too high
-            return solver, list(num) + [Fraction(0)] * (width - len(num))
-        order = self._order
-        if isinstance(target, CyclotomicElement):
-            order = lcm(order, target.order)
-        solver = self._solvers.get(order)
-        if solver is None:
-            rows = [_cyclotomic_row(c, order) for c in self.columns]
-            solver = RationalRowSolver(_columns_to_rows(rows, len(rows[0])))
-            self._solvers[order] = solver
-        return solver, _cyclotomic_row(target, order)
-
     def solve(self, target) -> Certificate | None:
-        system = self._system(as_scalar(target))
-        solution = None if system is None else system[0].solve(system[1])
+        coords = self._coordinates(as_scalar(target))
+        if coords is None or len(coords) > self._width:
+            return None  # outside the space, or a numerator of too high degree
+        solution = self._solver.solve(coords + [0] * (self._width - len(coords)))
         if solution is None:
             return None
         terms = tuple(
@@ -307,21 +263,6 @@ def _as_param(value) -> ParamRational:
     if isinstance(value, ParamRational):
         return value
     return ParamRational.from_rational(value.as_fraction())
-
-
-def _columns_to_rows(columns, width: int) -> list[list[Fraction]]:
-    """Coordinate matrix with one column per coordinate vector, zero-padded."""
-    return [
-        [col[i] if i < len(col) else Fraction(0) for col in columns]
-        for i in range(width)
-    ]
-
-
-def membership(problem: MembershipProblem) -> Certificate | None:
-    solver = MembershipSolver(
-        problem.generators, problem.projections, problem.degree_bound
-    )
-    return solver.solve(problem.target)
 
 
 # -- ring verdicts ---------------------------------------------------------------

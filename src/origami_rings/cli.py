@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import __version__
 from .analysis import (
-    MembershipSolver,
     certificate_from_obj,
     check_ring,
     same_lattice,
@@ -131,11 +130,6 @@ def cmd_construct(args) -> int:
         )
         _emit_json({"meta": meta, **body}, args.out)
     return code
-
-
-def cmd_plot(args) -> int:
-    args.format = "svg"
-    return cmd_construct(args)
 
 
 def cmd_elementary(args) -> int:
@@ -332,14 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="'re,im' rationals")
     p.add_argument("--epsilon", required=True, help="positive rational")
     p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("plot", help="svg scatter of the closure")
-    _add_common(p, angles_required=False)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--max-points", type=int, default=250_000)
-    p.add_argument("--radius", type=float, default=0.02)
-    p.add_argument("--viewport", default="-3,4,-3,3")
-    p.set_defaults(func=cmd_plot)
 
     return parser
 

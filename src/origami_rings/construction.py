@@ -257,52 +257,6 @@ def nontrivial_monomials(angles: AngleSet) -> tuple[ElementaryMonomial, ...]:
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """A product of elementary monomials, factored by direction pairs."""
-
-    factors: tuple[tuple[UnitAngle, UnitAngle], ...]
-    value: ExactScalar
-
-
-def monomials_to_length(
-    angles: AngleSet, length: int, max_monomials: int = 100_000
-) -> tuple[Monomial, ...]:
-    """Products of 1..length elementary monomials, deduplicated by value.
-
-    The first factorization found names a value, so each value carries a
-    shortest factor list.  Length 1 reproduces the elementary monomials.
-    """
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    elems = elementary_monomials(angles)
-    out: dict[bytes, Monomial] = {}
-    level = []
-    for e in elems:
-        m = Monomial(((e.alpha, e.beta),), e.value)
-        k = e.value.canonical_key()
-        if k not in out:
-            out[k] = m
-            level.append(m)
-    for _ in range(length - 1):
-        next_level = []
-        for m in level:
-            for e in elems:
-                v = m.value * e.value
-                k = v.canonical_key()
-                if k not in out:
-                    if len(out) >= max_monomials:
-                        raise CapExceededError(
-                            f"more than {max_monomials} monomial values",
-                            partial=tuple(out.values()),
-                        )
-                    nm = Monomial(m.factors + ((e.alpha, e.beta),), v)
-                    out[k] = nm
-                    next_level.append(nm)
-        level = next_level
-    return tuple(out.values())
-
-
-@dataclass(frozen=True)
 class ProjectionSet:
     """Real-axis projections of the elementary monomials.
 

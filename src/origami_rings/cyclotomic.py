@@ -3,13 +3,14 @@
 Elements are stored as coefficient vectors of length phi(n) over the power
 basis 1, z, ..., z^(phi(n)-1) with z = exp(2*pi*i/n), always reduced mod the
 n-th cyclotomic polynomial, as integer numerators over one positive common
-denominator in lowest terms.  Sums, products, Galois maps and embeddings
-work on the integers; only products and exponent maps need reducing, which a
-per-order table of x^k mod Phi_n does.  `AmbientField` hands the same
-integer vectors to bulk work at one order, such as the closure step.
-Canonical keys first descend to the smallest cyclotomic field containing the
-value, so equal values constructed in different orders compare and hash
-identically.
+denominator in lowest terms.  Integer coordinates are the only format:
+Phi_n comes from exact integer division, and every reduction (of products,
+of exponent maps, of the arbitrary polynomials the constructor accepts)
+folds through a per-order table of x^k mod Phi_n.  `AmbientField` hands the
+same integer vectors to bulk work at one order, such as the closure step
+and the membership solver.  Canonical keys first descend to the smallest
+cyclotomic field containing the value, so equal values constructed in
+different orders compare and hash identically.
 """
 
 from __future__ import annotations
@@ -57,29 +58,13 @@ def euler_phi(n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> _polys.Poly:
-    """Coefficients of the n-th cyclotomic polynomial, ascending degree."""
-    if n == 1:
-        return _polys.trim([-1, 1])
-    # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    num = _polys.trim([-1] + [0] * (n - 1) + [1])
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending degree."""
+    # x^n - 1 divided exactly by Phi_d for every proper divisor d of n
+    num = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _polys.divmod_(num, cyclotomic_polynomial(d))
-            assert not rem
+            num = _polys.zdiv(num, cyclotomic_polynomial(d))
     return num
-
-
-def _reduce(n: int, coeffs) -> tuple[Fraction, ...]:
-    """Reduce arbitrary polynomial coefficients to the length-phi(n) basis."""
-    cs = [Fraction(c) for c in coeffs]
-    if len(cs) > n:
-        folded = [Fraction(0)] * n
-        for e, c in enumerate(cs):
-            folded[e % n] += c
-        cs = folded
-    _, rem = _polys.divmod_(_polys.trim(cs), cyclotomic_polynomial(n))
-    out = list(rem) + [Fraction(0)] * (euler_phi(n) - len(rem))
-    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,7 +77,7 @@ def _power_table(n: int):
     vectors.
     """
     phi = euler_phi(n)
-    low = [int(c) for c in cyclotomic_polynomial(n)[:phi]]
+    low = cyclotomic_polynomial(n)[:phi]
     row = [1] + [0] * (phi - 1)
     rows = []
     for _ in range(max(n, 2 * phi)):
@@ -145,6 +130,21 @@ def _normalize(num, den: int):
     return tuple(num), den
 
 
+def _reduce(n: int, coeffs) -> tuple[list[int], int]:
+    """Numerators over one denominator of sum(c_e * z^e) for arbitrary
+    rational coefficients, reduced to the length-phi(n) basis."""
+    cs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in cs))
+    table = _power_table(n)
+    num = [0] * euler_phi(n)
+    for e, c in enumerate(cs):
+        if c:
+            c = c.numerator * (den // c.denominator)
+            for i, t in table[e % n]:
+                num[i] += c * t
+    return num, den
+
+
 @functools.lru_cache(maxsize=None)
 def _subfield_transform(n: int, m: int):
     """Integer row transform T with T*E in reduced echelon form, up to a scale.
@@ -158,10 +158,11 @@ def _subfield_transform(n: int, m: int):
     assert n % m == 0
     pn, pm = euler_phi(n), euler_phi(m)
     step = n // m
-    cols = [_reduce(n, [Fraction(0)] * (j * step) + [Fraction(1)]) for j in range(pm)]
+    table = _power_table(n)
+    cols = [dict(table[j * step]) for j in range(pm)]  # zeta_m^j = z^(j*step)
     rows = []
     for i in range(pn):
-        aug = [cols[j][i] for j in range(pm)]
+        aug = [Fraction(col.get(i, 0)) for col in cols]
         aug += [Fraction(1) if k == i else Fraction(0) for k in range(pn)]
         rows.append(aug)
     r = 0
@@ -215,10 +216,7 @@ class CyclotomicElement(ExactScalar):
         # callers may pass any polynomial, so reduce it mod Phi_n; the
         # arithmetic below builds its results through _make instead, from
         # vectors that are already reduced to length phi(n)
-        cs = _reduce(order, coeffs)
-        den = math.lcm(*(c.denominator for c in cs))
-        self._set(order, tuple(c.numerator * (den // c.denominator) for c in cs), den)
-        self._coeffs = cs
+        self._set(order, *_normalize(*_reduce(order, coeffs)))
 
     def _set(self, order, num, den):
         self.order = order
@@ -443,18 +441,23 @@ class AmbientField:
         _check_order(order)
         self.order = order
 
-    def vector(self, x) -> tuple[list[int], int]:
-        """Numerators and denominator of a Rational or CyclotomicElement whose
-        order divides this one."""
+    def vector(self, x) -> tuple[list[int], int] | None:
+        """Numerators and denominator of a rational scalar or a
+        CyclotomicElement in this field, or None when the value lies outside."""
         n = self.order
-        if isinstance(x, Rational):
-            v = x.value
+        if not isinstance(x, CyclotomicElement):
+            v = x.as_fraction()
             return [v.numerator] + [0] * (euler_phi(n) - 1), v.denominator
         if x.order == n:
             return list(x._num), x._den
-        if n % x.order:
-            raise ValueError(f"{x.order} does not divide {n}")
-        return _vec_map(x._num, n, n // x.order), x._den
+        if n % x.order == 0:
+            return _vec_map(x._num, n, n // x.order), x._den
+        # lift to the compositum, then come back down to this field
+        m = math.lcm(n, x.order)
+        sol = _subfield_coords(m, n, _vec_map(x._num, m, m // x.order))
+        if sol is None:
+            return None
+        return sol[0], x._den * sol[1]
 
     def conj(self, num) -> list[int]:
         return _vec_map(num, self.order, self.order - 1)

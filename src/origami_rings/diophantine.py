@@ -106,10 +106,6 @@ class LinearSolver:
         return x
 
 
-def solve(matrix, b) -> list[int] | None:
-    return LinearSolver(matrix).solve(b)
-
-
 class RationalRowSolver:
     """Integer-solution solver for a rational matrix, precomputed once.
 

@@ -11,11 +11,9 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import BackendMismatchError, ParallelLinesError, PrecisionError
+from .errors import BackendMismatchError, ParallelLinesError
 from .ratfunc import ParamRational
-from .scalars import ExactScalar, Rational, as_scalar, real_compare
-
-_MAX_SIGN_BITS = 1 << 20
+from .scalars import ExactScalar, Rational, as_scalar, real_compare, refined_sign
 
 
 def bracket(x, y) -> ExactScalar:
@@ -80,38 +78,9 @@ def project_to_real_axis(z, along: UnitAngle) -> ExactScalar:
     return intersect(UnitAngle.real_axis(), along, Rational(0), z)
 
 
-class Line:
-    """Line through a base point with a unit direction."""
-
-    __slots__ = ("direction", "point")
-
-    def __init__(self, direction: UnitAngle, point):
-        self.direction = direction
-        self.point = as_scalar(point)
-
-    def contains(self, q) -> bool:
-        return bracket(self.direction.value, as_scalar(q) - self.point).is_zero()
-
-    def intersect_with(self, other: "Line") -> ExactScalar:
-        return intersect(self.direction, other.direction, self.point, other.point)
-
-    def __repr__(self):
-        return f"Line({self.direction!r}, through {self.point!r})"
-
-
 def _imag_sign(v: ExactScalar) -> int:
     """Exact sign of the imaginary part of a numeric scalar."""
-    if v.is_real():
-        return 0
-    bits = 64
-    while bits <= _MAX_SIGN_BITS:
-        lo, hi = v.to_interval(bits).imag_bounds()
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        bits *= 2
-    raise PrecisionError("imaginary sign did not resolve")
+    return 0 if v.is_real() else refined_sign(v, imag=True)
 
 
 def _param_exponent(v: ParamRational):

@@ -315,16 +315,24 @@ def real_sign(x) -> int:
     if x.is_rational():
         v = x.as_fraction()
         return 1 if v > 0 else -1
+    return refined_sign(x)
+
+
+def refined_sign(x, imag: bool = False) -> int:
+    """Sign of the real part of a numeric scalar, or of its imaginary part,
+    from interval enclosures at doubling precision.  The part must be
+    nonzero; callers test that exactly first, so the loop terminates."""
     bits = 64
     while bits <= _MAX_SIGN_BITS:
         iv = x.to_interval(bits)
-        lo, hi = iv.real_bounds()
+        lo, hi = iv.imag_bounds() if imag else iv.real_bounds()
         if lo > 0:
             return 1
         if hi < 0:
             return -1
         bits *= 2
-    raise PrecisionError("sign of nonzero value did not resolve")
+    part = "imaginary" if imag else "real"
+    raise PrecisionError(f"sign of nonzero {part} part did not resolve")
 
 
 def real_compare(a, b) -> int:

@@ -5,13 +5,17 @@ line intersection is re-derived from a 2x2 real linear solve, the closure
 step from one intersect call per ordered point pair, quadratic
 integrality from expanding (X - x)(X - conj(x)), lattice comparison from
 brute-force enumeration of truncated lattices.  The integer solve multiplies
-out the dense V*y, and parametric membership assembles a fresh coordinate
-matrix for every target.  Parametric arithmetic is redone over Q with a
-Fraction polynomial Euclid on every operation (`oracle_param_*`).  Interval
+out the dense V*y, and membership assembles a fresh coordinate matrix for
+every target: parametric targets over the target's and the columns'
+denominators, cyclotomic ones at the lcm of the target's and the columns'
+orders.  Cyclotomic reduction is a Fraction polynomial division by Phi_n
+(`oracle_reduce`).  Parametric arithmetic is redone over Q with a Fraction
+polynomial Euclid on every operation (`oracle_param_*`).  Interval
 enclosures are redone with mpmath's ivmpf operators (`OracleInterval`),
 without shared caches.
 """
 
+import math
 from fractions import Fraction
 
 from mpmath import make_mpf, mp, nstr
@@ -30,13 +34,46 @@ from origami_rings import (
     real_imag_parts,
     root_of_unity,
 )
-from origami_rings._polys import degree, divmod_, trim
 from origami_rings.analysis import Certificate, CertTerm
 from origami_rings.diophantine import RationalRowSolver, diagonalize
 from origami_rings.intervals import interval_context
 
 # -- polynomials over Q ---------------------------------------------------------
-# Tuples of Fraction in ascending degree, as in origami_rings._polys.
+# Tuples of Fraction in ascending degree with no trailing zeros; the zero
+# polynomial is the empty tuple.
+
+
+def trim(coeffs):
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def degree(p):
+    # degree of the zero polynomial reported as -1
+    return len(p) - 1
+
+
+def divmod_(p, q):
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    dq = degree(q)
+    lead = q[-1]
+    quo = [Fraction(0)] * max(0, len(p) - dq)
+    while len(rem) - 1 >= dq and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dq:
+            break
+        f = rem[-1] / lead
+        k = len(rem) - 1 - dq
+        quo[k] = f
+        for i, c in enumerate(q):
+            rem[k + i] -= f * c
+        rem.pop()
+    return trim(quo), trim(rem)
 
 
 def const(c):
@@ -127,6 +164,32 @@ def xgcd(p, q):
     lead = r0[-1]
     inv = 1 / lead
     return scale(r0, inv), scale(s0, inv), scale(t0, inv)
+
+
+# -- cyclotomic reduction over Q -------------------------------------------------
+
+
+def oracle_cyclotomic_polynomial(n):
+    """Phi_n over Q, from x^n - 1 by Fraction division by every Phi_d, d | n."""
+    num = trim([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            num, rem = divmod_(num, oracle_cyclotomic_polynomial(d))
+            assert not rem
+    return num
+
+
+def oracle_reduce(n, coeffs):
+    """Coordinates of sum(c_e * x^e) in the length-phi(n) power basis, as the
+    remainder of a Fraction polynomial division by Phi_n."""
+    cs = [Fraction(c) for c in coeffs]
+    if len(cs) > n:
+        folded = [Fraction(0)] * n
+        for e, c in enumerate(cs):
+            folded[e % n] += c
+        cs = folded
+    _, rem = divmod_(trim(cs), oracle_cyclotomic_polynomial(n))
+    return tuple(rem) + (Fraction(0),) * (euler_phi(n) - len(rem))
 
 
 # -- parametric values over Q -----------------------------------------------------
@@ -470,8 +533,10 @@ def oracle_param_membership(solver, target):
     _, rows = param_coordinate_rows([target] + list(solver.columns))
     matrix = [list(col) for col in zip(*rows[1:])]
     solution = RationalRowSolver(matrix).solve(rows[0])
-    if solution is None:
-        return None
+    return None if solution is None else _certificate_of_solution(solver, solution)
+
+
+def _certificate_of_solution(solver, solution):
     n = len(solver.generators)
     terms = tuple(
         CertTerm(
@@ -483,3 +548,24 @@ def oracle_param_membership(solver, target):
         if c
     )
     return Certificate(product=None, terms=terms, degree_bound=solver.degree_bound)
+
+
+def oracle_cyclotomic_membership(solver, target):
+    """Certificate for target over the columns of a numeric MembershipSolver,
+    from a matrix of Fraction coordinates at the lcm of the columns' and the
+    target's orders, every value embedded there separately."""
+    values = [target] + list(solver.columns)
+    order = 1
+    for v in values:
+        if isinstance(v, CyclotomicElement):
+            order = math.lcm(order, v.order)
+
+    def row(v):
+        if not isinstance(v, CyclotomicElement):
+            v = CyclotomicElement.from_rational(v.as_fraction(), order)
+        return list(v.embed(order).coeffs)
+
+    rows = [row(v) for v in values]
+    matrix = [list(col) for col in zip(*rows[1:])]
+    solution = RationalRowSolver(matrix).solve(rows[0])
+    return None if solution is None else _certificate_of_solution(solver, solution)

@@ -5,12 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from origami_rings import _polys
 from origami_rings import (
     AngleSet,
     Certificate,
     ConstructionConfig,
-    MembershipProblem,
     MembershipSolver,
     NotRing,
     ParamRational,
@@ -22,8 +20,6 @@ from origami_rings import (
     check_ring,
     closure_to_depth,
     lattice_coordinates,
-    lattice_descriptor,
-    membership,
     minimal_polynomial_pair,
     nontrivial_monomials,
     projection_set,
@@ -40,9 +36,12 @@ from origami_rings.analysis import (
     evaluate_certificate,
     verdict_to_obj,
 )
+from origami_rings import analysis
 from helpers import (
     brute_lattice_points,
+    divmod_,
     mul,
+    oracle_cyclotomic_membership,
     oracle_param_membership,
     param_coordinate_rows,
     quadratic_oracle,
@@ -112,15 +111,6 @@ def test_minimal_polynomial_pair():
 
 
 # --- lattices -----------------------------------------------------------------
-
-
-def test_lattice_descriptor():
-    x = root_of_unity(6, 1)
-    d = lattice_descriptor(x)
-    assert d.re_part.as_fraction() == Fraction(1, 2)
-    assert (d.im_part * d.im_part).as_fraction() == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        lattice_descriptor(Rational(Fraction(1, 2)))
 
 
 def make_point(a, b):
@@ -253,9 +243,7 @@ def example_problem_parts():
 def test_membership_square_decomposes_at_degree_one():
     generators, projections = example_problem_parts()
     z1, z2, z3 = example_generators()
-    cert = membership(
-        MembershipProblem(z1 * z1, generators, projections, degree_bound=1)
-    )
+    cert = MembershipSolver(generators, projections, degree_bound=1).solve(z1 * z1)
     assert cert is not None
     assert verify_certificate(cert, generators, projections, expected=z1 * z1)
     assert all(sum(e for _, e in t.monomial) <= 1 for t in cert.terms)
@@ -275,14 +263,14 @@ def test_membership_degree_zero_combination():
     z1, z2, z3 = example_generators()
     target = z3 * z3  # equals 4*z3 - 6*z1
     assert target == z3 * 4 - z1 * 6
-    cert = membership(MembershipProblem(target, generators, projections, 1))
+    cert = MembershipSolver(generators, projections, 1).solve(target)
     assert cert is not None
     assert verify_certificate(cert, generators, projections, expected=target)
 
 
 def test_membership_zero_target_empty_certificate():
     generators, projections = example_problem_parts()
-    cert = membership(MembershipProblem(Rational(0), generators, projections, 2))
+    cert = MembershipSolver(generators, projections, 2).solve(Rational(0))
     assert cert is not None
     assert cert.terms == ()
     assert evaluate_certificate(cert, generators, projections) == 0
@@ -314,11 +302,9 @@ def test_membership_planted_instances():
 def test_membership_honest_negatives():
     generators, projections = example_problem_parts()
     # the imaginary unit is not an integer Z[P]-combination of these generators
-    assert membership(MembershipProblem(root_of_unity(4, 1), generators, projections, 2)) is None
+    assert MembershipSolver(generators, projections, 2).solve(root_of_unity(4, 1)) is None
     # denominators of degree<=2 monomials divide 36, so 1/5 is unreachable
-    assert membership(
-        MembershipProblem(Rational(Fraction(1, 5)), generators, projections, 2)
-    ) is None
+    assert MembershipSolver(generators, projections, 2).solve(Rational(Fraction(1, 5))) is None
 
 
 def test_membership_solver_reuse_across_targets():
@@ -331,6 +317,49 @@ def test_membership_solver_reuse_across_targets():
         assert verify_certificate(cert, generators, projections, expected=target)
 
 
+def stored_targets():
+    """Targets stored at orders 12, 60 and 24 around the columns' order 12,
+    plus two that have no solution: zeta_5, outside Q(zeta_12), and
+    zeta_60^5 = zeta_12, inside it but outside the module."""
+    z1, z2, z3 = example_generators()
+    return (
+        (z1 * z2).embed(12),
+        (z1 * z2).embed(60),
+        (z2 * z3).embed(24),
+        root_of_unity(5),
+        root_of_unity(60, 5),
+    )
+
+
+def test_cyclotomic_space_matches_per_order_assembly():
+    generators, projections = example_problem_parts()
+    solver = MembershipSolver(generators, projections, degree_bound=2)
+    targets = stored_targets()
+    assert [t.order for t in targets] == [12, 60, 24, 5, 60]
+    for target in targets:
+        cert = solver.solve(target)
+        assert cert == oracle_cyclotomic_membership(solver, target)
+        if cert is not None:
+            assert verify_certificate(cert, generators, projections, expected=target)
+    assert solver.solve(targets[3]) is None and solver.solve(targets[4]) is None
+
+
+def test_targets_at_other_orders_reuse_one_row_solver(monkeypatch):
+    built = []
+
+    class Counting(analysis.RationalRowSolver):
+        def __init__(self, rows):
+            built.append(len(rows))
+            super().__init__(rows)
+
+    monkeypatch.setattr(analysis, "RationalRowSolver", Counting)
+    generators, projections = example_problem_parts()
+    solver = MembershipSolver(generators, projections, degree_bound=2)
+    for target in stored_targets()[:3]:
+        assert solver.solve(target) is not None
+    assert built == [4]  # one matrix, over the phi(12) = 4 coordinates
+
+
 def test_membership_parametric():
     t = ParamRational.t_power(1)
     t2 = t * t
@@ -340,7 +369,7 @@ def test_membership_parametric():
     p1 = z1 / z2
     generators = (ParamRational.from_rational(Fraction(1)), z1, z2, z3)
     projections = tuple(projection_set(param_angles()).nontrivial)
-    cert = membership(MembershipProblem(z1 * z2, generators, projections, 2))
+    cert = MembershipSolver(generators, projections, 2).solve(z1 * z2)
     assert cert is not None
     assert verify_certificate(cert, generators, projections, expected=z1 * z2)
     assert z1 * z2 == z3  # the parametric analogue of the numeric identity
@@ -374,7 +403,7 @@ def test_parametric_space_rejects_like_per_target_assembly():
     # remainder were ignored
     off_denominators = (one / (t + 5), d / (d + 1))
     for target in off_denominators:
-        assert _polys.divmod_(common, target.den)[1]
+        assert divmod_(common, target.den)[1]
     # t^width: a polynomial with more coefficients than the matrix has rows
     too_long = ParamRational.t_power(width)
     assert len(mul(too_long.num, common)) > width
@@ -400,7 +429,7 @@ def test_parametric_space_with_non_primitive_denominators():
 def test_verify_rejects_corruption():
     generators, projections = example_problem_parts()
     z1, z2, z3 = example_generators()
-    cert = membership(MembershipProblem(z1 * z2, generators, projections, 2))
+    cert = MembershipSolver(generators, projections, 2).solve(z1 * z2)
     assert cert is not None and cert.terms
     first = cert.terms[0]
     corrupted = Certificate(
@@ -416,7 +445,7 @@ def test_verify_rejects_corruption():
 def test_certificate_json_round_trip():
     generators, projections = example_problem_parts()
     z1, z2, z3 = example_generators()
-    cert = membership(MembershipProblem(z2 * z3, generators, projections, 2))
+    cert = MembershipSolver(generators, projections, 2).solve(z2 * z3)
     assert cert is not None
     again = certificate_from_obj(certificate_to_obj(cert))
     assert again == cert

@@ -139,12 +139,6 @@ def test_param_arg_help_states_grammar(capsys):
     assert "pi*p/q" in stdout
 
 
-def test_plot_alias(capsys):
-    code, stdout, _ = invoke(["plot", "--angles", THREE_RING, "--depth", "2"], capsys)
-    assert code == 0
-    assert stdout.startswith("<svg ")
-
-
 # --- elementary / projections -------------------------------------------------------
 
 

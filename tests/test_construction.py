@@ -1,7 +1,6 @@
 """Closure construction, elementary monomials, projections."""
 
 import logging
-import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,6 @@ from origami_rings import (
     elementary_monomials,
     initial_generation,
     intersect,
-    monomials_to_length,
     nontrivial_monomials,
     projection_set,
     root_of_unity,
@@ -245,35 +243,6 @@ def test_nontrivial_monomials_example():
         assert not m.alpha.is_one() and not m.beta.is_one()
     # the three pairwise intersections of the non-axis directions
     assert len(ems) == 3
-
-
-def test_monomials_length_one_matches_elementary():
-    ms = monomials_to_length(example_angles(), 1)
-    em_keys = {m.value.canonical_key() for m in elementary_monomials(example_angles())}
-    assert {m.value.canonical_key() for m in ms} == em_keys
-    for m in ms:
-        assert len(m.factors) == 1
-
-
-def test_monomials_length_two_contains_products():
-    ms = monomials_to_length(example_angles(), 2)
-    keys = {m.value.canonical_key() for m in ms}
-    ems = nontrivial_monomials(example_angles())
-    for a in ems:
-        for b in ems:
-            assert (a.value * b.value).canonical_key() in keys
-    # factor lists never exceed the requested length
-    assert max(len(m.factors) for m in ms) <= 2
-
-
-def test_monomials_cap():
-    with pytest.raises(CapExceededError):
-        monomials_to_length(example_angles(), 3, max_monomials=10)
-
-
-def test_monomials_rejects_zero_length():
-    with pytest.raises(ValueError):
-        monomials_to_length(example_angles(), 0)
 
 
 # --- projections ----------------------------------------------------------------

@@ -14,9 +14,16 @@ from origami_rings import (
     root_of_unity,
     scalar_from_obj,
 )
-from origami_rings import _polys
 from origami_rings.cyclotomic import cyclotomic_polynomial
-from helpers import mul, random_cyclo, random_fraction, xgcd
+from helpers import (
+    mul,
+    oracle_cyclotomic_polynomial,
+    oracle_reduce,
+    random_cyclo,
+    random_fraction,
+    trim,
+    xgcd,
+)
 
 
 def test_euler_phi_values():
@@ -33,6 +40,9 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(4) == (f(1), f(0), f(1))
     assert cyclotomic_polynomial(6) == (f(1), f(-1), f(1))
     assert cyclotomic_polynomial(12) == (f(1), f(0), f(-1), f(0), f(1))
+    for n in (5, 8, 15, 24, 60, 120):
+        assert cyclotomic_polynomial(n) == oracle_cyclotomic_polynomial(n)
+        assert all(type(c) is int for c in cyclotomic_polynomial(n))
 
 
 def test_root_relations():
@@ -61,7 +71,7 @@ def _folded(order, exponent_coeffs):
     out = [Fraction(0)] * order
     for e, c in exponent_coeffs:
         out[e] += c
-    return CyclotomicElement(order, out).coeffs
+    return oracle_reduce(order, out)
 
 
 def test_reduced_paths_match_full_reduction():
@@ -74,12 +84,12 @@ def test_reduced_paths_match_full_reduction():
         for trial in range(12 if phi <= 8 else 3):
             a = random_cyclo(rng, order)
             b = random_cyclo(rng, order) if trial else CyclotomicElement(order, [Fraction(2, 3)])
-            product = mul(_polys.trim(a.coeffs), _polys.trim(b.coeffs))
-            assert (a * b).coeffs == CyclotomicElement(order, product).coeffs
-            assert (a + b).coeffs == CyclotomicElement(
+            product = mul(trim(a.coeffs), trim(b.coeffs))
+            assert (a * b).coeffs == oracle_reduce(order, product)
+            assert (a + b).coeffs == oracle_reduce(
                 order, [x + y for x, y in zip(a.coeffs, b.coeffs)]
-            ).coeffs
-            assert (-a).coeffs == CyclotomicElement(order, [-x for x in a.coeffs]).coeffs
+            )
+            assert (-a).coeffs == oracle_reduce(order, [-x for x in a.coeffs])
             k = rng.choice(units)
             assert a.galois(k).coeffs == _folded(
                 order, [(j * k % order, c) for j, c in enumerate(a.coeffs)]
@@ -95,8 +105,25 @@ def test_reduced_paths_match_full_reduction():
             j = rng.randrange(order)
             assert root_of_unity(order, j).coeffs == _folded(order, [(j, Fraction(1))])
             if not b.is_zero():
-                _, s, _ = xgcd(_polys.trim(b.coeffs), cyclotomic_polynomial(order))
-                assert b.inv().coeffs == CyclotomicElement(order, s).coeffs
+                _, s, _ = xgcd(trim(b.coeffs), oracle_cyclotomic_polynomial(order))
+                assert b.inv().coeffs == oracle_reduce(order, s)
+
+
+def test_constructor_matches_oracle_reduction():
+    # arbitrary polynomials up to length 3n, so exponents wrap past n twice
+    rng = random.Random(39)
+    for order in (1, 3, 4, 5, 8, 12, 15, 24, 120):
+        for _ in range(8 if order <= 24 else 3):
+            coeffs = [
+                random_fraction(rng) if rng.random() < 0.6 else 0
+                for _ in range(rng.randint(0, 3 * order))
+            ]
+            x = CyclotomicElement(order, coeffs)
+            assert x.coeffs == oracle_reduce(order, coeffs)
+            # stored in lowest terms, like every value built by arithmetic
+            y = x * 1
+            assert (x._num, x._den) == (y._num, y._den)
+            assert x._den > 0 and math.gcd(x._den, *x._num) == 1
 
 
 def test_field_axioms_random():

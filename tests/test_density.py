@@ -8,7 +8,7 @@ import pytest
 
 from origami_rings import (
     AngleSet,
-    MembershipProblem,
+    MembershipSolver,
     ParamRational,
     ProjectionSet,
     Rational,
@@ -17,7 +17,6 @@ from origami_rings import (
     UnsupportedConfigurationError,
     approximate,
     find_scaling_projection,
-    membership,
     projection_set,
     real_imag_parts,
     real_sign,
@@ -122,9 +121,7 @@ def test_witness_values_live_in_the_module():
         generators = (Rational(1), w.z)
         projections = (w.p,)
         bound = max(w.n1, w.n2)
-        cert = membership(
-            MembershipProblem(w.value, generators, projections, degree_bound=bound)
-        )
+        cert = MembershipSolver(generators, projections, degree_bound=bound).solve(w.value)
         assert cert is not None
 
 

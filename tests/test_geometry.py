@@ -8,8 +8,6 @@ import pytest
 from origami_rings import (
     AngleSet,
     BackendMismatchError,
-    CyclotomicElement,
-    Line,
     ParallelLinesError,
     ParamRational,
     Rational,
@@ -126,8 +124,8 @@ def test_intersect_lies_on_both_lines():
         p = random_point(rng)
         q = random_point(rng)
         z = intersect(alpha, beta, p, q)
-        assert Line(alpha, p).contains(z)
-        assert Line(beta, q).contains(z)
+        assert bracket(alpha.value, z - p).is_zero()
+        assert bracket(beta.value, z - q).is_zero()
 
 
 def test_intersect_matches_independent_2x2_solve():
@@ -235,21 +233,7 @@ def test_project_is_real_random():
         x = project_to_real_axis(z, w)
         assert x.is_real()
         # the projected point lies on the line through z with direction w
-        assert Line(w, z).contains(x)
-
-
-# --- Line ----------------------------------------------------------------------
-
-
-def test_line_contains_and_intersect():
-    p = Rational(Fraction(1))
-    a = ua(4, 1)
-    vert = Line(a, p)  # vertical line x = 1
-    assert vert.contains(1 + root_of_unity(4, 1) * 7)
-    assert not vert.contains(Rational(Fraction(0)))
-    horiz = Line(UnitAngle.real_axis(), root_of_unity(4, 1))  # y = 1
-    z = vert.intersect_with(horiz)
-    assert z == 1 + root_of_unity(4, 1)
+        assert bracket(w.value, x - z).is_zero()
 
 
 # --- AngleSet ------------------------------------------------------------------

@@ -1,11 +1,27 @@
-"""Dense rational polynomial helpers."""
+"""Integer polynomial kernel, and the Fraction polynomial oracles it is checked against."""
 
 import random
 from fractions import Fraction
 
-from origami_rings._polys import degree, divmod_, primitive, trim, zadd, zdiv, zgcd, zlcm, zmul, ztrim
+from origami_rings._polys import primitive, zadd, zdiv, zgcd, zlcm, zmul, ztrim
 
-from helpers import ONE, ZERO, add, const, gcd, lcm, monic, mul, scale, shift, sub, xgcd
+from helpers import (
+    ONE,
+    ZERO,
+    add,
+    const,
+    degree,
+    divmod_,
+    gcd,
+    lcm,
+    monic,
+    mul,
+    scale,
+    shift,
+    sub,
+    trim,
+    xgcd,
+)
 
 
 def rand_poly(rng, max_deg=5):
