@@ -12,6 +12,7 @@ Unknown rather than NotRing.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -24,6 +25,7 @@ from .geometry import AngleSet, UnitAngle, angle_arg_compare, intersect
 from .ratfunc import ParamRational, common_denominator, scaled_numerator
 from .scalars import ExactScalar, Rational, as_scalar
 
+log = logging.getLogger(__name__)
 
 # -- quadratic integers and lattices ------------------------------------------
 
@@ -156,26 +158,78 @@ class Certificate:
 
 def evaluate_certificate(cert: Certificate, generators, projections) -> ExactScalar:
     """Sum of the certificate's terms, with the generator combination of each
-    distinct monomial formed first and the monomial evaluated once."""
+    distinct monomial formed first and the monomial evaluated once.
+
+    A term must name a generator and projections in range, with exponents of
+    at least 1 (an inverse power would leave Z[P]); anything else raises
+    ValueError.  Numeric inputs are evaluated on integer vectors in one
+    field, parametric ones on scalars.
+    """
     generators = [as_scalar(g) for g in generators]
     projections = [as_scalar(p) for p in projections]
     combos = {}
     for term in cert.terms:
-        if term.generator >= len(generators):
+        if not 0 <= term.generator < len(generators):
             raise ValueError(f"unknown generator id {term.generator}")
-        part = generators[term.generator] * term.coefficient
-        prev = combos.get(term.monomial)
-        combos[term.monomial] = part if prev is None else prev + part
-    total = None
-    for monomial, value in combos.items():
-        for pid, exp in monomial:
-            if pid >= len(projections):
+        for pid, exp in term.monomial:
+            if not 0 <= pid < len(projections):
                 raise ValueError(f"unknown projection id {pid}")
+            if exp < 1:
+                raise ValueError(f"exponent {exp} of projection {pid} is not positive")
+        combos.setdefault(term.monomial, []).append((term.generator, term.coefficient))
+    if any(isinstance(v, ParamRational) for v in generators + projections):
+        return _scalar_evaluate(combos, generators, projections)
+    return _vector_evaluate(combos, generators, projections)
+
+
+def _scalar_evaluate(combos, generators, projections) -> ExactScalar:
+    """The sum on scalars, for parametric inputs."""
+    total = Rational(0)
+    for monomial, parts in combos.items():
+        value = None
+        for gen, coeff in parts:
+            part = generators[gen] * coeff
+            value = part if value is None else value + part
+        for pid, exp in monomial:
             value = value * projections[pid] ** exp
-        total = value if total is None else total + value
-    if total is None:
-        total = Rational(0)
+        total = total + value
     return total
+
+
+def _vector_evaluate(combos, generators, projections) -> ExactScalar:
+    """The sum on integer vectors in Q(zeta_N), N the lcm of the input
+    orders: generators over one denominator G, projections over one
+    denominator Q, so a monomial of degree k sits over G*Q^k and the sum
+    over G*Q^K for the top degree K.  Projection powers are formed once."""
+    field = AmbientField(lcm(*(field_order(v) for v in generators + projections)))
+    gens, g = _over_common_denominator(field, generators)
+    projs, q = _over_common_denominator(field, projections)
+    powers = {}
+
+    def power(pid, exp):
+        if (pid, exp) not in powers:
+            base = projs[pid]
+            powers[pid, exp] = base if exp == 1 else field.mul(power(pid, exp - 1), base)
+        return powers[pid, exp]
+
+    top = max((sum(exp for _, exp in m) for m in combos), default=0)
+    total = [0] * field.degree
+    for monomial, parts in combos.items():
+        value = [0] * field.degree
+        for gen, coeff in parts:
+            value = [v + coeff * c for v, c in zip(value, gens[gen])]
+        for pid, exp in monomial:
+            value = field.mul(value, power(pid, exp))
+        scale = q ** (top - sum(exp for _, exp in monomial))
+        total = [t + scale * v for t, v in zip(total, value)]
+    return field.element(total, g * q**top, field.order)
+
+
+def _over_common_denominator(field: AmbientField, values):
+    """Numerator vectors of values in field over their common denominator."""
+    vecs = [field.vector(v) for v in values]
+    den = lcm(*(d for _, d in vecs))
+    return [[c * (den // d) for c in num] for num, d in vecs], den
 
 
 def verify_certificate(cert: Certificate, generators, projections, expected=None) -> bool:
@@ -186,7 +240,7 @@ def verify_certificate(cert: Certificate, generators, projections, expected=None
             raise ValueError("free-standing certificate needs an expected value")
         i, j = cert.product
         generators = [as_scalar(g) for g in generators]
-        if max(i, j) >= len(generators):
+        if min(i, j) < 0 or max(i, j) >= len(generators):
             raise ValueError(f"unknown generator id in product {cert.product}")
         expected = generators[i] * generators[j]
     return evaluate_certificate(cert, generators, projections) == as_scalar(expected)
@@ -201,6 +255,9 @@ class MembershipSolver:
     are numerators over their common denominator D.  The coordinate matrix
     and its integer diagonalization are built once.  A target is mapped into
     the same space, or rejected when it lies outside, and solved against it.
+    Construction logs one DEBUG record to the ``origami_rings.analysis``
+    logger, whose args dict holds the order N (None for parametric columns)
+    and the matrix's rows, columns and rank.
     """
 
     def __init__(self, generators, projections, degree_bound: int):
@@ -229,6 +286,18 @@ class MembershipSolver:
         self._width = max(len(c) for c in cols)
         rows = [[c[i] if i < len(c) else 0 for c in cols] for i in range(self._width)]
         self._solver = RationalRowSolver(rows)
+        if log.isEnabledFor(logging.DEBUG):
+            stats = {
+                "order": None if self._field is None else self._field.order,
+                "rows": self._width,
+                "columns": len(self.columns),
+                "rank": self._solver.rank,
+            }
+            log.debug(
+                "membership solver: order %(order)s, %(rows)d x %(columns)d "
+                "coordinate matrix, rank %(rank)d",
+                stats,
+            )
 
     def _coordinates(self, value):
         """Coordinates of a scalar in the solver's space, unpadded, or None

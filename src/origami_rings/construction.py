@@ -233,11 +233,17 @@ class ElementaryMonomial:
 
 def elementary_monomials(angles: AngleSet) -> tuple[ElementaryMonomial, ...]:
     """All intersect(alpha, beta, 0, 1) over ordered direction pairs, deduplicated
-    by value (the first ordered pair producing a value names it)."""
+    by value (the first ordered pair producing a value names it).
+
+    Each value is read off the pair's offset multipliers (x, y, y'):
+    intersect(alpha, beta, 0, 1) = U_0 - V_1 = y' - x and
+    intersect(beta, alpha, 0, 1) = U_1 - V_0 = x - y.  The multipliers are
+    formed from the directions alone, so each value is stored at the order
+    the intersect call would give it.
+    """
     out = {}
-    for a, b in angles.pairs():
-        for alpha, beta in ((a, b), (b, a)):
-            v = intersect(alpha, beta, Rational(0), Rational(1))
+    for (a, b), (x, y, y2) in zip(angles.pairs(), angles.offset_multipliers()):
+        for alpha, beta, v in ((a, b, y2 - x), (b, a, x - y)):
             out.setdefault(v.canonical_key(), ElementaryMonomial(alpha, beta, v))
     return tuple(out.values())
 
@@ -246,13 +252,13 @@ def nontrivial_monomials(angles: AngleSet) -> tuple[ElementaryMonomial, ...]:
     """Elementary monomials from non-axis direction pairs in argument order,
     dropping 0 and 1."""
     out = {}
-    nu = angles.non_unit()
-    for i in range(len(nu)):
-        for j in range(i + 1, len(nu)):
-            v = intersect(nu[i], nu[j], Rational(0), Rational(1))
-            if v == 0 or v == 1:
-                continue
-            out.setdefault(v.canonical_key(), ElementaryMonomial(nu[i], nu[j], v))
+    for (a, b), (x, _, y2) in zip(angles.pairs(), angles.offset_multipliers()):
+        if a.is_one() or b.is_one():
+            continue
+        v = y2 - x
+        if v == 0 or v == 1:
+            continue
+        out.setdefault(v.canonical_key(), ElementaryMonomial(a, b, v))
     return tuple(out.values())
 
 

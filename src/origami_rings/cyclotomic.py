@@ -435,11 +435,12 @@ class AmbientField:
     compare or hash them as tuples.  Only `element` builds a scalar again.
     """
 
-    __slots__ = ("order",)
+    __slots__ = ("order", "degree")
 
     def __init__(self, order: int):
         _check_order(order)
         self.order = order
+        self.degree = euler_phi(order)
 
     def vector(self, x) -> tuple[list[int], int] | None:
         """Numerators and denominator of a rational scalar or a
@@ -447,7 +448,7 @@ class AmbientField:
         n = self.order
         if not isinstance(x, CyclotomicElement):
             v = x.as_fraction()
-            return [v.numerator] + [0] * (euler_phi(n) - 1), v.denominator
+            return [v.numerator] + [0] * (self.degree - 1), v.denominator
         if x.order == n:
             return list(x._num), x._den
         if n % x.order == 0:

@@ -85,6 +85,7 @@ class LinearSolver:
         self._zero_rows = [
             i for i in range(self.rows) if i >= len(self.diag) or not self.diag[i]
         ]
+        self.rank = len(self._pivots)
 
     def solve(self, b) -> list[int] | None:
         """x with A*x = b, or None.  x = V*y with y_i = (U*b)_i / d_i, where y
@@ -122,6 +123,7 @@ class RationalRowSolver:
             self.scales.append(s)
             scaled.append([int(Fraction(v) * s) for v in row])
         self._solver = LinearSolver(scaled)
+        self.rank = self._solver.rank
 
     def solve(self, b) -> list[int] | None:
         if len(b) != len(self.scales):

@@ -26,7 +26,7 @@ def bracket(x, y) -> ExactScalar:
 class UnitAngle:
     """A line direction: unit-modulus scalar, canonical mod sign."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_slide")
 
     def __init__(self, value):
         v = as_scalar(value)
@@ -35,6 +35,7 @@ class UnitAngle:
         if v.canonical_sign() < 0:
             v = -v
         self.value = v
+        self._slide = None
 
     @classmethod
     def real_axis(cls) -> "UnitAngle":
@@ -45,6 +46,17 @@ class UnitAngle:
 
     def conj_value(self) -> ExactScalar:
         return self.value.conj()
+
+    def slide_multiplier(self) -> ExactScalar:
+        """x = gamma/(conj(gamma) - gamma) for this direction gamma, with which
+        `project_to_real_axis` slides z to -(w + conj(w)), w = x*conj(z).
+        Computed once per instance."""
+        if self._slide is None:
+            if self.is_one():
+                raise ParallelLinesError("projection direction is parallel to the axis")
+            g = self.value
+            self._slide = g * (g.conj() - g).inv()
+        return self._slide
 
     def __eq__(self, other):
         if not isinstance(other, UnitAngle):
@@ -72,10 +84,16 @@ def intersect(alpha: UnitAngle, beta: UnitAngle, p, q) -> ExactScalar:
 
 
 def project_to_real_axis(z, along: UnitAngle) -> ExactScalar:
-    """Slide z to the real axis along the direction `along`."""
-    if along.is_one():
-        raise ParallelLinesError("projection direction is parallel to the axis")
-    return intersect(UnitAngle.real_axis(), along, Rational(0), z)
+    """Slide z to the real axis along the direction gamma of `along`.
+
+    That is intersect(1, gamma, 0, z) = -[gamma, z]/[1, gamma], which is
+    -(w + conj(w)) for w = x*conj(z) and x = gamma/(conj(gamma) - gamma), the
+    direction's `slide_multiplier`: one product and one conjugate.  The
+    operands are those of the intersect call, so the value is stored at the
+    same order.
+    """
+    w = along.slide_multiplier() * as_scalar(z).conj()
+    return -(w + w.conj())
 
 
 def _imag_sign(v: ExactScalar) -> int:

@@ -2,13 +2,15 @@
 
 The oracles here deliberately avoid the production code paths they check:
 line intersection is re-derived from a 2x2 real linear solve, the closure
-step from one intersect call per ordered point pair, quadratic
+step from one intersect call per ordered point pair, elementary monomials
+and projections from one intersect call per value, quadratic
 integrality from expanding (X - x)(X - conj(x)), lattice comparison from
 brute-force enumeration of truncated lattices.  The integer solve multiplies
 out the dense V*y, and membership assembles a fresh coordinate matrix for
 every target: parametric targets over the target's and the columns'
 denominators, cyclotomic ones at the lcm of the target's and the columns'
-orders.  Cyclotomic reduction is a Fraction polynomial division by Phi_n
+orders.  Certificates are evaluated on scalars, term by term
+(`oracle_evaluate_certificate`).  Cyclotomic reduction is a Fraction polynomial division by Phi_n
 (`oracle_reduce`).  Parametric arithmetic is redone over Q with a Fraction
 polynomial Euclid on every operation (`oracle_param_*`).  Interval
 enclosures are redone with mpmath's ivmpf operators (`OracleInterval`),
@@ -23,9 +25,11 @@ from mpmath import make_mpf, mp, nstr
 from origami_rings import (
     CapExceededError,
     CyclotomicElement,
+    ElementaryMonomial,
     GenerationSet,
     ParamRational,
     PrecisionError,
+    ProjectionSet,
     Rational,
     UnitAngle,
     bracket,
@@ -569,3 +573,73 @@ def oracle_cyclotomic_membership(solver, target):
     matrix = [list(col) for col in zip(*rows[1:])]
     solution = RationalRowSolver(matrix).solve(rows[0])
     return None if solution is None else _certificate_of_solution(solver, solution)
+
+
+def oracle_project_to_real_axis(z, along):
+    """Slide z to the real axis along `along` with one intersect call."""
+    return intersect(UnitAngle.real_axis(), along, Rational(0), z)
+
+
+def oracle_elementary_monomials(angles):
+    """intersect(alpha, beta, 0, 1) over ordered direction pairs, the first
+    ordered pair producing a value naming it."""
+    out = {}
+    for a, b in angles.pairs():
+        for alpha, beta in ((a, b), (b, a)):
+            v = intersect(alpha, beta, Rational(0), Rational(1))
+            out.setdefault(v.canonical_key(), ElementaryMonomial(alpha, beta, v))
+    return tuple(out.values())
+
+
+def oracle_nontrivial_monomials(angles):
+    """intersect(nu_i, nu_j, 0, 1) over non-axis pairs i < j, without 0 and 1."""
+    out = {}
+    nu = angles.non_unit()
+    for i in range(len(nu)):
+        for j in range(i + 1, len(nu)):
+            v = intersect(nu[i], nu[j], Rational(0), Rational(1))
+            if v == 0 or v == 1:
+                continue
+            out.setdefault(v.canonical_key(), ElementaryMonomial(nu[i], nu[j], v))
+    return tuple(out.values())
+
+
+def oracle_projection_set(angles):
+    """The projection set with one intersect call per projection."""
+    nu = angles.non_unit()
+    all_proj = {Rational(0).canonical_key(): Rational(0), Rational(1).canonical_key(): Rational(1)}
+    for e in oracle_elementary_monomials(angles):
+        for gamma in nu:
+            v = oracle_project_to_real_axis(e.value, gamma)
+            all_proj.setdefault(v.canonical_key(), v)
+    nontrivial = {}
+    for e in oracle_nontrivial_monomials(angles):
+        for gamma in nu:
+            v = oracle_project_to_real_axis(e.value, gamma)
+            if v == 0 or v == 1:
+                continue
+            nontrivial.setdefault(v.canonical_key(), v)
+    x = family = None
+    if len(nu) == 3 and angles.contains_one():
+        u, v_mid, w = nu
+        cand = oracle_project_to_real_axis(intersect(u, w, Rational(0), Rational(1)), v_mid)
+        if cand != 0 and cand != 1:
+            x = cand
+            orbit = (x, x.inv(), x * (x - 1).inv())
+            family = orbit + tuple(1 - f for f in orbit)
+    order = lambda d: tuple(d[k] for k in sorted(d))
+    return ProjectionSet(
+        projections=order(all_proj), nontrivial=order(nontrivial), x=x, family=family
+    )
+
+
+def oracle_evaluate_certificate(cert, generators, projections):
+    """Sum of coefficient * generator * product of projection powers, term by
+    term on scalars."""
+    total = Rational(0)
+    for term in cert.terms:
+        value = generators[term.generator] * term.coefficient
+        for pid, exp in term.monomial:
+            value = value * projections[pid] ** exp
+        total = total + value
+    return total

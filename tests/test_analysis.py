@@ -1,5 +1,6 @@
 """Lattice structure, Z[P]-module membership, ring verdicts, tangent forms."""
 
+import logging
 import random
 from fractions import Fraction
 
@@ -37,11 +38,13 @@ from origami_rings.analysis import (
     verdict_to_obj,
 )
 from origami_rings import analysis
+from origami_rings.anglespec import parse_angle_list
 from helpers import (
     brute_lattice_points,
     divmod_,
     mul,
     oracle_cyclotomic_membership,
+    oracle_evaluate_certificate,
     oracle_param_membership,
     param_coordinate_rows,
     quadratic_oracle,
@@ -440,6 +443,113 @@ def test_verify_rejects_corruption():
         degree_bound=cert.degree_bound,
     )
     assert not verify_certificate(corrupted, generators, projections, expected=z1 * z2)
+
+
+# Terms no Z[P] certificate holds: an inverse power, added with its negation
+# so the value does not change, a negative generator id, a negative
+# projection id and a zero exponent.
+BAD_TERMS = (
+    CertTerm(generator=1, monomial=((0, -2),), coefficient=5),
+    CertTerm(generator=1, monomial=((0, -2),), coefficient=-5),
+    CertTerm(generator=-1, monomial=(), coefficient=0),
+    CertTerm(generator=1, monomial=((-1, 1),), coefficient=1),
+    CertTerm(generator=1, monomial=((0, 0),), coefficient=1),
+)
+
+
+@pytest.mark.parametrize("bad", BAD_TERMS)
+@pytest.mark.parametrize("backend", ["cyclotomic", "param"])
+def test_malformed_terms_are_rejected(backend, bad):
+    angles = example_angles() if backend == "cyclotomic" else param_angles()
+    verdict = check_ring(angles, degree_bound=2)
+    gens, projs = verdict.context.generators, verdict.context.projections
+    good = verdict.certificates[0]
+    assert verify_certificate(good, gens, projs)
+    cert = Certificate(good.product, good.terms + (bad,), good.degree_bound)
+    with pytest.raises(ValueError):
+        evaluate_certificate(cert, gens, projs)
+    with pytest.raises(ValueError):
+        verify_certificate(cert, gens, projs)
+
+
+def test_negative_product_id_is_rejected():
+    generators, projections = example_problem_parts()
+    cert = Certificate(product=(-1, 1), terms=(), degree_bound=0)
+    with pytest.raises(ValueError):
+        verify_certificate(cert, generators, projections)
+
+
+def bumped(cert):
+    """The certificate with its first coefficient raised by one."""
+    first = cert.terms[0]
+    return Certificate(
+        cert.product,
+        (CertTerm(first.generator, first.monomial, first.coefficient + 1),) + cert.terms[1:],
+        cert.degree_bound,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, degree",
+    [
+        ("0,pi*1/6,pi*1/3,pi*1/2", 3),
+        ("0,pi*1/4,pi*1/2,pi*3/4", 3),
+        ("0,pi*1/12,pi*1/6,pi*1/4", 2),
+    ],
+)
+def test_certificate_values_match_scalar_oracle(spec, degree):
+    """Every S_2 point's certificate evaluates to the point on integer vectors
+    and on scalars alike, and so does a certificate off by one coefficient."""
+    angles = parse_angle_list(spec)[0]
+    gens = (Rational(1),) + tuple(m.value for m in nontrivial_monomials(angles))
+    projs = projection_set(angles).nontrivial
+    solver = MembershipSolver(gens, projs, degree)
+    for point in closure_to_depth(ConstructionConfig(angles, max_depth=2))[-1]:
+        cert = solver.solve(point)
+        assert cert is not None
+        assert evaluate_certificate(cert, gens, projs) == point
+        assert oracle_evaluate_certificate(cert, gens, projs) == point
+        if cert.terms:
+            off = bumped(cert)
+            value = evaluate_certificate(off, gens, projs)
+            assert value == oracle_evaluate_certificate(off, gens, projs)
+            assert value != point
+
+
+@pytest.mark.parametrize("backend", ["cyclotomic", "param"])
+def test_random_certificates_match_scalar_oracle(backend):
+    """Certificates with monomials of mixed degrees and mixed projections."""
+    angles = example_angles() if backend == "cyclotomic" else param_angles()
+    verdict = check_ring(angles, degree_bound=2)
+    gens, projs = verdict.context.generators, verdict.context.projections
+    exponents = MembershipSolver(gens, projs, 3).exponents
+    rng = random.Random(19)
+    for _ in range(40):
+        terms = tuple(
+            CertTerm(
+                generator=rng.randrange(len(gens)),
+                monomial=tuple((pid, e) for pid, e in enumerate(rng.choice(exponents)) if e),
+                coefficient=rng.randint(-10**12, 10**12),
+            )
+            for _ in range(rng.randint(1, 6))
+        )
+        cert = Certificate(product=None, terms=terms, degree_bound=3)
+        assert evaluate_certificate(cert, gens, projs) == oracle_evaluate_certificate(
+            cert, gens, projs
+        )
+
+
+def test_membership_solver_logs_its_shape(caplog):
+    # hand values: phi(12) = 4 and phi(120) = 32 coordinate rows; 80 columns,
+    # the 20 monomials of degree <= 3 in 3 projections times 4 generators
+    caplog.set_level(logging.DEBUG, logger="origami_rings.analysis")
+    check_ring(example_angles(), degree_bound=3)
+    check_ring(parse_angle_list("0,pi*1/5,pi*1/4,pi*1/3")[0], degree_bound=3)
+    stats = [r.args for r in caplog.records if r.name == "origami_rings.analysis"]
+    assert stats == [
+        {"order": 12, "rows": 4, "columns": 80, "rank": 2},
+        {"order": 120, "rows": 32, "columns": 80, "rank": 16},
+    ]
 
 
 def test_certificate_json_round_trip():

@@ -304,6 +304,29 @@ def test_not_ring_with_irrational_trace(capsys, tmp_path):
     assert "mismatch" in err
 
 
+def test_verify_rejects_malformed_terms(capsys, tmp_path):
+    # an inverse power of a projection, added with its negation so the value
+    # stays the same, and a negative generator id with coefficient 0: the
+    # certificate would still evaluate to the product, but it is no Z[P]
+    # combination
+    out = tmp_path / "ring.json"
+    code, _, _ = invoke(
+        ["check-ring", "--angles", EXAMPLE, "--degree-bound", "3", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    obj = json.loads(out.read_text())
+    obj["certificates"][0]["terms"] += [
+        {"generator": 1, "monomial": {"0": -2}, "coefficient": "5"},
+        {"generator": 1, "monomial": {"0": -2}, "coefficient": "-5"},
+        {"generator": -1, "monomial": {}, "coefficient": "0"},
+    ]
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 2
+    assert "verified" not in stdout
+    assert err.startswith("error:")
+
+
 def test_verify_garbage_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"verdict": "sideways"}')

@@ -23,7 +23,28 @@ from origami_rings import (
     root_of_unity,
     step,
 )
-from helpers import oracle_step
+from origami_rings.anglespec import parse_angle_list
+from helpers import (
+    oracle_elementary_monomials,
+    oracle_nontrivial_monomials,
+    oracle_projection_set,
+    oracle_step,
+)
+
+# angle sets of orders 4 to 120, five directions, one without the real axis
+# and the parametric family
+ORACLE_SETS = [
+    "0,pi*1/6,pi*1/3,pi*1/2",
+    "0,pi*1/4,pi*1/2,pi*3/4",
+    "0,pi*1/5,pi*1/4,pi*1/3",
+    "0,pi*1/6,pi*1/2,pi*5/6",
+    "0,pi*1/6,pi*1/3,pi*1/2,pi*2/3",
+    "0,pi*1/12,pi*1/6,pi*1/4",
+    "0,pi*1/10,pi*1/4,pi*1/2",
+    "0,pi*1/10,pi*1/12",
+    "pi*1/5,pi*1/3,pi*1/2",
+    "0,param:1,param:2,param:3",
+]
 
 
 def ua(order, k):
@@ -245,7 +266,37 @@ def test_nontrivial_monomials_example():
     assert len(ems) == 3
 
 
+def monomial_objs(monomials):
+    return [(m.alpha.value.to_obj(), m.beta.value.to_obj(), m.value.to_obj()) for m in monomials]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SETS)
+def test_monomials_match_intersect_oracle(spec):
+    """Names, order and stored representatives (to_obj) equal those of one
+    intersect call per value."""
+    angles = parse_angle_list(spec)[0]
+    assert monomial_objs(elementary_monomials(angles)) == monomial_objs(
+        oracle_elementary_monomials(angles)
+    )
+    assert monomial_objs(nontrivial_monomials(angles)) == monomial_objs(
+        oracle_nontrivial_monomials(angles)
+    )
+
+
 # --- projections ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ORACLE_SETS)
+def test_projection_set_matches_intersect_oracle(spec):
+    angles = parse_angle_list(spec)[0]
+    got, want = projection_set(angles), oracle_projection_set(angles)
+    objs = lambda values: None if values is None else [v.to_obj() for v in values]
+    assert objs(got.projections) == objs(want.projections)
+    assert objs(got.nontrivial) == objs(want.nontrivial)
+    assert objs(got.family) == objs(want.family)
+    assert (got.x is None) == (want.x is None)
+    if got.x is not None:
+        assert got.x.to_obj() == want.x.to_obj()
 
 
 def test_projection_set_example():
