@@ -11,8 +11,10 @@ Unknown rather than NotRing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -44,12 +46,6 @@ def quadratic_integer_test(x):
     if trace.is_integer() and norm.is_integer():
         return int(trace.as_fraction()), -int(norm.as_fraction())
     return None
-
-
-def minimal_polynomial_pair(x) -> tuple[ExactScalar, ExactScalar]:
-    """Coefficients (c1, c0) of X^2 + c1*X + c0 = (X - x)(X - conj x)."""
-    x = as_scalar(x)
-    return -(x + x.conj()), x * x.conj()
 
 
 def same_lattice(x, y) -> bool:
@@ -126,14 +122,11 @@ def tangent_point(theta: UnitAngle, phi: UnitAngle) -> ExactScalar:
 def _exponent_vectors(count: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples over `count` variables with total degree <= degree,
     by ascending degree, lexicographic within a degree."""
-    out = []
-    for d in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(count), d):
-            vec = [0] * count
-            for i in combo:
-                vec[i] += 1
-            out.append(tuple(vec))
-    return out
+    return [
+        tuple(combo.count(i) for i in range(count))
+        for d in range(degree + 1)
+        for combo in itertools.combinations_with_replacement(range(count), d)
+    ]
 
 
 @dataclass(frozen=True)
@@ -186,10 +179,9 @@ def _scalar_evaluate(combos, generators, projections) -> ExactScalar:
     """The sum on scalars, for parametric inputs."""
     total = Rational(0)
     for monomial, parts in combos.items():
-        value = None
+        value = Rational(0)
         for gen, coeff in parts:
-            part = generators[gen] * coeff
-            value = part if value is None else value + part
+            value = value + generators[gen] * coeff
         for pid, exp in monomial:
             value = value * projections[pid] ** exp
         total = total + value
@@ -200,18 +192,11 @@ def _vector_evaluate(combos, generators, projections) -> ExactScalar:
     """The sum on integer vectors in Q(zeta_N), N the lcm of the input
     orders: generators over one denominator G, projections over one
     denominator Q, so a monomial of degree k sits over G*Q^k and the sum
-    over G*Q^K for the top degree K.  Projection powers are formed once."""
+    over G*Q^K for the top degree K."""
     field = AmbientField(lcm(*(field_order(v) for v in generators + projections)))
-    gens, g = _over_common_denominator(field, generators)
-    projs, q = _over_common_denominator(field, projections)
-    powers = {}
-
-    def power(pid, exp):
-        if (pid, exp) not in powers:
-            base = projs[pid]
-            powers[pid, exp] = base if exp == 1 else field.mul(power(pid, exp - 1), base)
-        return powers[pid, exp]
-
+    gens, g = field.vectors(generators)
+    projs, q = field.vectors(projections)
+    power = _projection_powers(field, projs)
     top = max((sum(exp for _, exp in m) for m in combos), default=0)
     total = [0] * field.degree
     for monomial, parts in combos.items():
@@ -225,11 +210,17 @@ def _vector_evaluate(combos, generators, projections) -> ExactScalar:
     return field.element(total, g * q**top, field.order)
 
 
-def _over_common_denominator(field: AmbientField, values):
-    """Numerator vectors of values in field over their common denominator."""
-    vecs = [field.vector(v) for v in values]
-    den = lcm(*(d for _, d in vecs))
-    return [[c * (den // d) for c in num] for num, d in vecs], den
+def _projection_powers(field: AmbientField, projs):
+    """power(pid, exp): numerators of projs[pid]**exp in field over the
+    exp-th power of their denominator, each power formed once."""
+    known = [[p] for p in projs]
+
+    def power(pid, exp):
+        while len(known[pid]) < exp:
+            known[pid].append(field.mul(known[pid][-1], projs[pid]))
+        return known[pid][exp - 1]
+
+    return power
 
 
 def verify_certificate(cert: Certificate, generators, projections, expected=None) -> bool:
@@ -249,12 +240,13 @@ def verify_certificate(cert: Certificate, generators, projections, expected=None
 class MembershipSolver:
     """Reusable search for integer Z[P]-combinations over fixed generators.
 
-    Column values (monomial times generator) are fixed at construction, and
-    so is one integer coordinate space for them: numeric columns are integer
-    vectors in Q(zeta_N), N the lcm of the column orders; parametric columns
-    are numerators over their common denominator D.  The coordinate matrix
-    and its integer diagonalization are built once.  A target is mapped into
-    the same space, or rejected when it lies outside, and solved against it.
+    The columns (monomial times generator) and one integer coordinate space
+    for them are fixed at construction.  Numeric columns are products of
+    integer vectors in Q(zeta_N), N the lcm of the orders of the values in
+    some column; parametric ones are scalar products over their common
+    denominator D.  The matrix of integer numerators, one denominator per
+    column, is diagonalized once; a target is mapped into the same space as
+    numerators over one denominator, or rejected when it lies outside.
     Construction logs one DEBUG record to the ``origami_rings.analysis``
     logger, whose args dict holds the order N (None for parametric columns)
     and the matrix's rows, columns and rank.
@@ -269,28 +261,29 @@ class MembershipSolver:
         self.projections = tuple(as_scalar(p) for p in projections)
         self.degree_bound = degree_bound
         self.exponents = _exponent_vectors(len(self.projections), degree_bound)
-        self.columns = []
-        for vec in self.exponents:
-            mono = Rational(1)
-            for pid, exp in enumerate(vec):
-                if exp:
-                    mono = mono * self.projections[pid] ** exp
-            for gen in self.generators:
-                self.columns.append(mono * gen)
-        if any(isinstance(c, ParamRational) for c in self.columns):
+        projs = self.projections if degree_bound else ()  # those in some column
+        if any(isinstance(v, ParamRational) for v in self.generators + projs):
             self._field = None
-            self._common = common_denominator(_as_param(c) for c in self.columns)
+            gens = [_as_param(g) for g in self.generators]
+            columns = self._columns(gens, lambda pid, exp: projs[pid] ** exp, operator.mul)
+            self._common = common_denominator(columns)
+            cols = [scaled_numerator(c, self._common) for c in columns]
         else:
-            self._field = AmbientField(lcm(*(field_order(c) for c in self.columns)))
-        cols = [self._coordinates(c) for c in self.columns]
-        self._width = max(len(c) for c in cols)
-        rows = [[c[i] if i < len(c) else 0 for c in cols] for i in range(self._width)]
-        self._solver = RationalRowSolver(rows)
+            orders = (field_order(v) for v in self.generators + projs)
+            field = self._field = AmbientField(lcm(*orders))
+            gens, g = field.vectors(self.generators)
+            projs, q = field.vectors(projs)
+            nums = self._columns(gens, _projection_powers(field, projs), field.mul)
+            dens = [g * q ** sum(vec) for vec in self.exponents for _ in gens]
+            cols = list(zip(nums, dens))
+        self._width = max(len(num) for num, _ in cols)
+        rows = [[num[i] if i < len(num) else 0 for num, _ in cols] for i in range(self._width)]
+        self._solver = RationalRowSolver(rows, [den for _, den in cols])
         if log.isEnabledFor(logging.DEBUG):
             stats = {
                 "order": None if self._field is None else self._field.order,
                 "rows": self._width,
-                "columns": len(self.columns),
+                "columns": len(cols),
                 "rank": self._solver.rank,
             }
             log.debug(
@@ -299,15 +292,15 @@ class MembershipSolver:
                 stats,
             )
 
-    def _coordinates(self, value):
-        """Coordinates of a scalar in the solver's space, unpadded, or None
-        when the value lies outside Q(zeta_N) or its denominator does not
-        divide D."""
-        if self._field is not None:
-            vec = self._field.vector(value)
-            return None if vec is None else [Fraction(c, vec[1]) for c in vec[0]]
-        num = scaled_numerator(_as_param(value), self._common)
-        return None if num is None else list(num)
+    def _columns(self, gens, power, mul):
+        """Monomial times generator for each column, the monomial a product
+        of power(pid, exp) under mul; the empty monomial leaves gen as is."""
+        out = []
+        for vec in self.exponents:
+            factors = [power(pid, exp) for pid, exp in enumerate(vec) if exp]
+            mono = functools.reduce(mul, factors) if factors else None
+            out += [gen if mono is None else mul(mono, gen) for gen in gens]
+        return out
 
     def _term_of_index(self, idx: int, coeff: int) -> CertTerm:
         gen = idx % len(self.generators)
@@ -316,10 +309,15 @@ class MembershipSolver:
         return CertTerm(generator=gen, monomial=monomial, coefficient=coeff)
 
     def solve(self, target) -> Certificate | None:
-        coords = self._coordinates(as_scalar(target))
-        if coords is None or len(coords) > self._width:
-            return None  # outside the space, or a numerator of too high degree
-        solution = self._solver.solve(coords + [0] * (self._width - len(coords)))
+        target = as_scalar(target)
+        if self._field is not None:
+            coords = self._field.vector(target)
+        else:
+            coords = scaled_numerator(_as_param(target), self._common)
+        if coords is None or len(coords[0]) > self._width:
+            return None  # outside Q(zeta_N), not cleared by D, or of too high degree
+        num, den = coords
+        solution = self._solver.solve(list(num) + [0] * (self._width - len(num)), den)
         if solution is None:
             return None
         terms = tuple(

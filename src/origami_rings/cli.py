@@ -40,6 +40,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .export import generations_to_csv, generations_to_obj, points_to_svg
+from .geometry import intersect
 from .scalars import Rational, scalar_from_obj
 
 
@@ -214,7 +215,16 @@ def cmd_verify(args) -> int:
         print(f"verified: {len(certs)} certificates re-evaluate exactly")
         return 0
     if verdict == "not_ring":
+        spec = obj["meta"]["config"]["angles"]
+        if not isinstance(spec, str):
+            raise ValueError(f"meta.config.angles is not an angle list: {spec!r}")
+        angle_set = parse_angle_list(spec)[0]
+        nu = angle_set.non_unit()
         witness = scalar_from_obj(obj["witness"])
+        if len(angle_set) != 3 or len(nu) != 2 or witness != intersect(nu[0], nu[1], 0, 1):
+            print("witness is not the intersection rebuilt from the angles, "
+                  "which must be three directions, one the real axis", file=sys.stderr)
+            return 3
         trace = witness + witness.conj()
         norm = witness * witness.conj()
         if (trace, norm) != (_declared_scalar(obj["trace"]), _declared_scalar(obj["norm"])):

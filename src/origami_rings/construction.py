@@ -139,11 +139,8 @@ def _vector_step(gen: GenerationSet, angles: AngleSet, max_points: int):
     point_orders = [field_order(p) for p in gen.points]
     n = math.lcm(*(field_order(a.value) for a in angles), *point_orders)
     field = AmbientField(n)
-    mults = [[field.vector(m) for m in triple] for triple in angles.offset_multipliers()]
-    d = math.lcm(*(den for triple in mults for _, den in triple))
-    vecs = [field.vector(p) for p in gen.points]
-    g = math.lcm(*(den for _, den in vecs))
-    nums = [[c * (g // den) for c in num] for num, den in vecs]
+    flat, d = field.vectors(m for triple in angles.offset_multipliers() for m in triple)
+    nums, g = field.vectors(gen.points)
     conjs = [field.conj(num) for num in nums]
     seen = {tuple(c * d for c in num) for num in nums}
     new = []
@@ -152,8 +149,8 @@ def _vector_step(gen: GenerationSet, angles: AngleSet, max_points: int):
         return list(gen.points) + [field.element(z, d * g, o) for z, o in new]
 
     sizes = []
-    for (alpha, beta), triple in zip(angles.pairs(), mults):
-        x, y, y2 = ([c * (d // den) for c in num] for num, den in triple)
+    for k, (alpha, beta) in enumerate(angles.pairs()):
+        x, y, y2 = flat[3 * k : 3 * k + 3]
         pair_order = math.lcm(field_order(alpha.value), field_order(beta.value))
         us, vs = {}, {}
         for num, conj, p_order in zip(nums, conjs, point_orders):

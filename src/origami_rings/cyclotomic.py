@@ -460,6 +460,12 @@ class AmbientField:
             return None
         return sol[0], x._den * sol[1]
 
+    def vectors(self, values) -> tuple[list[list[int]], int]:
+        """Numerator vectors of values in this field over their common denominator."""
+        vecs = [self.vector(v) for v in values]
+        den = math.lcm(*(d for _, d in vecs))
+        return [[c * (den // d) for c in num] for num, d in vecs], den
+
     def conj(self, num) -> list[int]:
         return _vec_map(num, self.order, self.order - 1)
 

@@ -9,8 +9,7 @@ of D meet zero entries of U*b.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -110,28 +109,25 @@ class LinearSolver:
 class RationalRowSolver:
     """Integer-solution solver for a rational matrix, precomputed once.
 
-    Each row is scaled by the lcm of its coefficient denominators.  On an
-    integer vector the scaled left side is integral, so a target entry that
-    stays fractional after the same scaling rules out any integer solution.
+    The matrix is integer numerators `rows` over one positive denominator per
+    column, `dens`.  Row i is scaled by the lcm of its reduced denominators
+    dens[j] // gcd(rows[i][j], dens[j]).  On an integer vector the scaled left
+    side is integral, so a target entry that stays fractional after the same
+    scaling rules out any integer solution.
     """
 
-    def __init__(self, rows):
-        self.scales = []
-        scaled = []
-        for row in rows:
-            s = lcm(*(Fraction(v).denominator for v in row)) if row else 1
-            self.scales.append(s)
-            scaled.append([int(Fraction(v) * s) for v in row])
-        self._solver = LinearSolver(scaled)
+    def __init__(self, rows, dens):
+        self.scales = [lcm(*(d // gcd(v, d) for v, d in zip(row, dens))) for row in rows]
+        self._solver = LinearSolver(
+            [[v * s // d for v, d in zip(row, dens)] for row, s in zip(rows, self.scales)]
+        )
         self.rank = self._solver.rank
 
-    def solve(self, b) -> list[int] | None:
+    def solve(self, b, den: int) -> list[int] | None:
+        """x with A*x = b/den, for integer numerators b over a positive den."""
         if len(b) != len(self.scales):
             raise ValueError("right-hand side has the wrong length")
-        bi = []
-        for s, v in zip(self.scales, b):
-            w = Fraction(v) * s
-            if w.denominator != 1:
-                return None
-            bi.append(int(w))
-        return self._solver.solve(bi)
+        scaled = [divmod(v * s, den) for s, v in zip(self.scales, b)]
+        if any(r for _, r in scaled):
+            return None
+        return self._solver.solve([q for q, _ in scaled])

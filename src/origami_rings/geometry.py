@@ -44,9 +44,6 @@ class UnitAngle:
     def is_one(self) -> bool:
         return self.value == 1
 
-    def conj_value(self) -> ExactScalar:
-        return self.value.conj()
-
     def slide_multiplier(self) -> ExactScalar:
         """x = gamma/(conj(gamma) - gamma) for this direction gamma, with which
         `project_to_real_axis` slides z to -(w + conj(w)), w = x*conj(z).

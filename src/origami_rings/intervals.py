@@ -214,9 +214,6 @@ class ComplexInterval:
     def contains_value(self, re: Fraction, im: Fraction = Fraction(0)) -> bool:
         return self.encloses(ComplexInterval.from_rationals(re, im, self.prec))
 
-    def contains_zero(self) -> bool:
-        return self.contains_value(Fraction(0), Fraction(0))
-
     def midpoint(self) -> complex:
         rl, rh = self.real_bounds()
         il, ih = self.imag_bounds()

@@ -282,12 +282,11 @@ def common_denominator(values) -> tuple:
     return common
 
 
-def scaled_numerator(value: ParamRational, common) -> tuple | None:
-    """Coefficients over Q of value * C / lc(C), the value times the monic
-    form of `common`, or None when that is not a polynomial."""
+def scaled_numerator(value: ParamRational, common) -> tuple[tuple, int] | None:
+    """(integer coefficients, positive scale) of value * C / lc(C), the value
+    times the monic form of `common`, or None when that is not a polynomial."""
     d = _polys.primitive(value._d)
     mult = _polys.zdiv(common, d)
     if mult is None:
         return None
-    scale = common[-1] * (value._d[-1] // d[-1])
-    return tuple(Fraction(c, scale) for c in _polys.zmul(mult, value._n))
+    return _polys.zmul(mult, value._n), common[-1] * (value._d[-1] // d[-1])

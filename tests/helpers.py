@@ -6,10 +6,12 @@ step from one intersect call per ordered point pair, elementary monomials
 and projections from one intersect call per value, quadratic
 integrality from expanding (X - x)(X - conj(x)), lattice comparison from
 brute-force enumeration of truncated lattices.  The integer solve multiplies
-out the dense V*y, and membership assembles a fresh coordinate matrix for
-every target: parametric targets over the target's and the columns'
-denominators, cyclotomic ones at the lcm of the target's and the columns'
-orders.  Certificates are evaluated on scalars, term by term
+out the dense V*y, and the rational row solver scales rows of Fractions
+(`OracleRationalRowSolver`).  Membership rebuilds the solver's columns as
+scalar products (`membership_columns`) and assembles a fresh Fraction
+coordinate matrix for every target: parametric targets over the target's
+and the columns' denominators, cyclotomic ones at the lcm of the target's
+and the columns' orders.  Certificates are evaluated on scalars, term by term
 (`oracle_evaluate_certificate`).  Cyclotomic reduction is a Fraction polynomial division by Phi_n
 (`oracle_reduce`).  Parametric arithmetic is redone over Q with a Fraction
 polynomial Euclid on every operation (`oracle_param_*`).  Interval
@@ -39,7 +41,7 @@ from origami_rings import (
     root_of_unity,
 )
 from origami_rings.analysis import Certificate, CertTerm
-from origami_rings.diophantine import RationalRowSolver, diagonalize
+from origami_rings.diophantine import LinearSolver, diagonalize
 from origami_rings.intervals import interval_context
 
 # -- polynomials over Q ---------------------------------------------------------
@@ -515,6 +517,44 @@ def oracle_linear_solve(matrix, b):
     return [sum(vij * yj for vij, yj in zip(row, y)) for row in v]
 
 
+class OracleRationalRowSolver:
+    """Integer-solution solver for a matrix of Fractions: each row scaled by
+    the lcm of its entries' denominators, targets scaled the same way."""
+
+    def __init__(self, rows):
+        self.scales = []
+        scaled = []
+        for row in rows:
+            s = math.lcm(*(Fraction(v).denominator for v in row))
+            self.scales.append(s)
+            scaled.append([int(Fraction(v) * s) for v in row])
+        self._solver = LinearSolver(scaled)
+
+    def solve(self, b):
+        if len(b) != len(self.scales):
+            raise ValueError("right-hand side has the wrong length")
+        bi = []
+        for s, v in zip(self.scales, b):
+            w = Fraction(v) * s
+            if w.denominator != 1:
+                return None
+            bi.append(int(w))
+        return self._solver.solve(bi)
+
+
+def membership_columns(solver):
+    """A MembershipSolver's column values, monomial times generator in the
+    solver's column order, as scalar products."""
+    columns = []
+    for vec in solver.exponents:
+        mono = Rational(1)
+        for pid, exp in enumerate(vec):
+            if exp:
+                mono = mono * solver.projections[pid] ** exp
+        columns += [mono * gen for gen in solver.generators]
+    return columns
+
+
 def param_coordinate_rows(values):
     """(D, rows): the monic lcm D of the denominators of parametric scalars,
     and for each value the coefficients of D*value, zero-padded to one width."""
@@ -534,9 +574,9 @@ def param_coordinate_rows(values):
 def oracle_param_membership(solver, target):
     """Certificate for target over the columns of a parametric MembershipSolver,
     from a coordinate matrix assembled over the target and the columns together."""
-    _, rows = param_coordinate_rows([target] + list(solver.columns))
+    _, rows = param_coordinate_rows([target] + membership_columns(solver))
     matrix = [list(col) for col in zip(*rows[1:])]
-    solution = RationalRowSolver(matrix).solve(rows[0])
+    solution = OracleRationalRowSolver(matrix).solve(rows[0])
     return None if solution is None else _certificate_of_solution(solver, solution)
 
 
@@ -558,7 +598,7 @@ def oracle_cyclotomic_membership(solver, target):
     """Certificate for target over the columns of a numeric MembershipSolver,
     from a matrix of Fraction coordinates at the lcm of the columns' and the
     target's orders, every value embedded there separately."""
-    values = [target] + list(solver.columns)
+    values = [target] + membership_columns(solver)
     order = 1
     for v in values:
         if isinstance(v, CyclotomicElement):
@@ -571,7 +611,7 @@ def oracle_cyclotomic_membership(solver, target):
 
     rows = [row(v) for v in values]
     matrix = [list(col) for col in zip(*rows[1:])]
-    solution = RationalRowSolver(matrix).solve(rows[0])
+    solution = OracleRationalRowSolver(matrix).solve(rows[0])
     return None if solution is None else _certificate_of_solution(solver, solution)
 
 

@@ -21,7 +21,6 @@ from origami_rings import (
     check_ring,
     closure_to_depth,
     lattice_coordinates,
-    minimal_polynomial_pair,
     nontrivial_monomials,
     projection_set,
     quadratic_integer_test,
@@ -42,6 +41,7 @@ from origami_rings.anglespec import parse_angle_list
 from helpers import (
     brute_lattice_points,
     divmod_,
+    membership_columns,
     mul,
     oracle_cyclotomic_membership,
     oracle_evaluate_certificate,
@@ -103,14 +103,6 @@ def test_quadratic_matches_polynomial_expansion():
         if quadratic_integer_test(x) is not None:
             lam, mu = quadratic_integer_test(x)
             assert x * x == x * lam + mu
-
-
-def test_minimal_polynomial_pair():
-    x = root_of_unity(6, 1)
-    c1, c0 = minimal_polynomial_pair(x)
-    # X^2 - X + 1 annihilates e^{i pi/3}
-    assert c1 == -1 and c0 == 1
-    assert x * x + x * c1.as_fraction() + c0.as_fraction() == 0
 
 
 # --- lattices -----------------------------------------------------------------
@@ -351,16 +343,17 @@ def test_targets_at_other_orders_reuse_one_row_solver(monkeypatch):
     built = []
 
     class Counting(analysis.RationalRowSolver):
-        def __init__(self, rows):
-            built.append(len(rows))
-            super().__init__(rows)
+        def __init__(self, rows, dens):
+            built.append((len(rows), len(dens)))
+            super().__init__(rows, dens)
 
     monkeypatch.setattr(analysis, "RationalRowSolver", Counting)
     generators, projections = example_problem_parts()
     solver = MembershipSolver(generators, projections, degree_bound=2)
     for target in stored_targets()[:3]:
         assert solver.solve(target) is not None
-    assert built == [4]  # one matrix, over the phi(12) = 4 coordinates
+    # one matrix, over the phi(12) = 4 coordinates and the 40 columns
+    assert built == [(4, 40)]
 
 
 def test_membership_parametric():
@@ -396,7 +389,7 @@ def test_parametric_space_matches_per_target_assembly():
 
 def test_parametric_space_rejects_like_per_target_assembly():
     solver = param_solver(2)
-    common, rows = param_coordinate_rows(solver.columns)
+    common, rows = param_coordinate_rows(membership_columns(solver))
     width = len(rows[0])
     t = ParamRational.t_power(1)
     one = ParamRational.from_rational(Fraction(1))
@@ -541,14 +534,25 @@ def test_random_certificates_match_scalar_oracle(backend):
 
 def test_membership_solver_logs_its_shape(caplog):
     # hand values: phi(12) = 4 and phi(120) = 32 coordinate rows; 80 columns,
-    # the 20 monomials of degree <= 3 in 3 projections times 4 generators
+    # the 20 monomials of degree <= 3 in 3 projections times 4 generators.
+    # At degree 0 the columns are the generators alone, so the order is the
+    # lcm of the generator orders: 12 for (1, zeta_12), although the
+    # projection zeta_5 + 1/zeta_5 lies in Q(zeta_60) only
     caplog.set_level(logging.DEBUG, logger="origami_rings.analysis")
     check_ring(example_angles(), degree_bound=3)
     check_ring(parse_angle_list("0,pi*1/5,pi*1/4,pi*1/3")[0], degree_bound=3)
+    check_ring(example_angles(), degree_bound=0)
+    fifth = root_of_unity(5, 1)
+    generators, projections = (Rational(1), root_of_unity(12, 1)), (fifth + fifth.conj(),)
+    MembershipSolver(generators, projections, degree_bound=0)
+    MembershipSolver(generators, projections, degree_bound=1)
     stats = [r.args for r in caplog.records if r.name == "origami_rings.analysis"]
     assert stats == [
         {"order": 12, "rows": 4, "columns": 80, "rank": 2},
         {"order": 120, "rows": 32, "columns": 80, "rank": 16},
+        {"order": 12, "rows": 4, "columns": 4, "rank": 2},
+        {"order": 12, "rows": 4, "columns": 2, "rank": 2},
+        {"order": 60, "rows": 16, "columns": 4, "rank": 4},
     ]
 
 

@@ -304,6 +304,48 @@ def test_not_ring_with_irrational_trace(capsys, tmp_path):
     assert "mismatch" in err
 
 
+def forged_not_ring_file(capsys, tmp_path):
+    """The not_ring file of THREE_NOT with its witness swapped for 1/3 + i/2,
+    whose declared trace 2/3 and norm 13/36 match it and are not integers."""
+    out = tmp_path / "nr.json"
+    code, _, _ = invoke(["check-ring", "--angles", THREE_NOT, "--out", str(out)], capsys)
+    assert code == 3
+    obj = json.loads(out.read_text())
+    obj["witness"] = {"backend": "cyclotomic", "order": 4, "coeffs": ["1/3", "1/2"]}
+    obj["trace"], obj["norm"] = "2/3", "13/36"
+    return obj
+
+
+def test_verify_rebuilds_not_ring_witness_from_angles(capsys, tmp_path):
+    obj = forged_not_ring_file(capsys, tmp_path)
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 3
+    assert "verified" not in stdout
+    assert "rebuilt from the angles" in err
+
+
+def test_verify_not_ring_needs_three_directions(capsys, tmp_path):
+    obj = forged_not_ring_file(capsys, tmp_path)
+    obj["meta"]["config"]["angles"] = EXAMPLE
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 3
+    assert "verified" not in stdout
+    assert "three directions" in err
+
+
+def test_verify_not_ring_without_parsable_angles_is_usage_error(capsys, tmp_path):
+    for angles in (None, "pi*1/x", 6):
+        obj = forged_not_ring_file(capsys, tmp_path)
+        if angles is None:
+            del obj["meta"]["config"]["angles"]
+        else:
+            obj["meta"]["config"]["angles"] = angles
+        code, stdout, err = verify_obj(obj, capsys, tmp_path)
+        assert code == 2
+        assert "verified" not in stdout
+        assert err.startswith("error:")
+
+
 def test_verify_rejects_malformed_terms(capsys, tmp_path):
     # an inverse power of a projection, added with its negation so the value
     # stays the same, and a negative generator id with coefficient 0: the
@@ -325,6 +367,18 @@ def test_verify_rejects_malformed_terms(capsys, tmp_path):
     assert code == 2
     assert "verified" not in stdout
     assert err.startswith("error:")
+
+
+def test_verify_evaluates_high_projection_powers(capsys, tmp_path):
+    # a zero term with exponent 3000 leaves the value unchanged; forming the
+    # power must not recurse once per exponent step
+    obj = example_ring_file(capsys, tmp_path)
+    obj["certificates"][0]["terms"].append(
+        {"generator": 1, "monomial": {"0": 3000}, "coefficient": "0"}
+    )
+    code, stdout, _ = verify_obj(obj, capsys, tmp_path)
+    assert code == 0
+    assert "verified" in stdout
 
 
 def test_verify_garbage_is_usage_error(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Integer linear systems: unimodular diagonalization and solvers."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ import pytest
 
 from origami_rings.diophantine import LinearSolver, RationalRowSolver, diagonalize
 
-from helpers import oracle_linear_solve
+from helpers import OracleRationalRowSolver, oracle_linear_solve
 
 
 def mat_mul(a, b):
@@ -112,22 +113,35 @@ def test_solver_reuse():
     assert s.solve([0, 0]) == [0, 0]
 
 
+def over_column_denominators(matrix):
+    """(integer numerators, one denominator per column) of a Fraction matrix,
+    each column over the lcm of its entries' denominators."""
+    dens = [math.lcm(*(Fraction(v).denominator for v in col)) for col in zip(*matrix)]
+    return [[int(Fraction(v) * d) for v, d in zip(row, dens)] for row in matrix], dens
+
+
+def over_one_denominator(b):
+    """(integer numerators, denominator) of a Fraction vector."""
+    den = math.lcm(*(Fraction(v).denominator for v in b))
+    return [int(Fraction(v) * den) for v in b], den
+
+
 def test_rational_row_solver_scaling():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(1)]]
-    s = RationalRowSolver(rows)
+    # the matrix [[1/2, 1/3], [0, 1]]: column denominators 2 and 3
+    s = RationalRowSolver([[1, 1], [0, 3]], [2, 3])
     # x/2 + y/3 = 4/3, y = 1  ->  x = 2, y = 1
-    got = s.solve([Fraction(4, 3), Fraction(1)])
+    got = s.solve([4, 3], 3)
     assert got == [2, 1]
     # a target that stays fractional after clearing denominators is impossible
-    assert s.solve([Fraction(1, 5), Fraction(1)]) is None
+    assert s.solve([1, 5], 5) is None
 
 
 def test_rational_row_solver_rejects_wrong_length():
     # cut to two entries, [2, 1, 5] would be solved as [2, 1]
-    s = RationalRowSolver([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
-    for b in ([Fraction(2), Fraction(1), Fraction(5)], [Fraction(2)]):
+    s = RationalRowSolver([[1, 0], [0, 1]], [1, 1])
+    for b in ([2, 1, 5], [2]):
         with pytest.raises(ValueError):
-            s.solve(b)
+            s.solve(b, 1)
 
 
 def test_rational_row_solver_random_agreement():
@@ -139,9 +153,45 @@ def test_rational_row_solver_random_agreement():
         ]
         x = [rng.randint(-4, 4) for _ in range(3)]
         b = [sum(r[j] * x[j] for j in range(3)) for r in rows]
-        got = RationalRowSolver(rows).solve(b)
+        got = RationalRowSolver(*over_column_denominators(rows)).solve(*over_one_denominator(b))
         assert got is not None
         assert [sum(r[j] * got[j] for j in range(3)) for r in rows] == b
+
+
+def test_rational_row_solver_matches_fraction_oracle():
+    """Integer numerators over column denominators against the Fraction-row
+    oracle, with unreduced entries such as 2/4, negative numerators, zero
+    entries and column denominators that share factors: equal row scales,
+    equal solutions and equal Nones."""
+    rng = random.Random(77)
+    unreduced = found = missing = 0
+    for _ in range(300):
+        r, c = rng.randint(1, 4), rng.randint(1, 6)
+        dens = [rng.choice((1, 2, 3, 4, 6, 9, 12)) for _ in range(c)]
+        rows = [[rng.choice((0, rng.randint(-8, 8))) for _ in range(c)] for _ in range(r)]
+        unreduced += sum(v != 0 and math.gcd(v, d) > 1 for row in rows for v, d in zip(row, dens))
+        matrix = [[Fraction(v, d) for v, d in zip(row, dens)] for row in rows]
+        solver, oracle = RationalRowSolver(rows, dens), OracleRationalRowSolver(matrix)
+        assert solver.scales == oracle.scales
+        x = [rng.randint(-4, 4) for _ in range(c)]
+        planted = over_one_denominator([sum(m * v for m, v in zip(row, x)) for row in matrix])
+        targets = [
+            planted,
+            ([2 * v for v in planted[0]], 2 * planted[1]),  # the same, unreduced
+            ([rng.randint(-9, 9) for _ in range(r)], rng.choice((1, 2, 4, 6, 12))),
+        ]
+        for b, den in targets:
+            got = solver.solve(b, den)
+            assert got == oracle.solve([Fraction(v, den) for v in b])
+            if got is None:
+                missing += 1
+            else:
+                found += 1
+                assert [sum(m * v for m, v in zip(row, got)) for row in matrix] == [
+                    Fraction(v, den) for v in b
+                ]
+        assert solver.solve(*planted) is not None
+    assert unreduced and found and missing
 
 
 def low_rank_matrix(rng, r, c, rank, bound=3):

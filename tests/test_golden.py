@@ -1,7 +1,12 @@
 """Golden outputs: sha256 digests of the JSON that `elementary`,
 `projections`, `check-ring` and `density` write, with `meta` dropped, for
 angle sets of orders 8 to 120, one without the real axis and the parametric
-family.  Together with the exit codes they pin the CLI's bytes."""
+family.  Together with the exit codes they pin the CLI's bytes.
+
+`check-ring` is also pinned at the degree the certify benchmark runs (3)
+and at degree 0 (generators only).  Those digests were recorded on the
+code as it stood before the membership solver took integer rows, so they
+hold the rewrite to the old solver's bytes."""
 
 import hashlib
 import json
@@ -74,6 +79,16 @@ GOLDEN = {
     ('twelfth', 'projections'): (0, 'cfdf809dda0559a84d330bc968aa70d2c24252f2d1b8228c1c60f9da0117d604'),
 }
 
+# check-ring at other degree bounds: (set, degree) -> (exit code, sha256)
+CHECK_RING_GOLDEN = {
+    ('example', 0): (4, '7432775951934d1e4d678dd33f0cac01051077db5d0851620ef6813078144317'),
+    ('example', 3): (0, '84ffd2ac339b5ae58d96fed912c46057c58273b045190d77e6bf8a4586e5f04a'),
+    ('fifth', 3): (4, '73ee09d4901c30c75caf69c3ba2e04bf48b6e5ea40dfa453049f60f2f2bbbfce'),
+    ('param', 0): (4, '81ab1fc56bfa9fc6d032fe0cc7bdd70b49a64a57664c5ab4fd662af84ef3bc91'),
+    ('quarter', 3): (0, 'df01631770d6e2cc25299a6e90406743271af962140ca4f300daaa9a1db22b41'),
+    ('sixth', 3): (4, '0fe5420e3e60c72e759ca5469ee70ac09b9167344c674c1699c88f8928d15dfe'),
+}
+
 
 def digest(argv, capsys):
     code = run(argv)
@@ -91,3 +106,9 @@ def digest(argv, capsys):
 def test_golden_output(name, command, capsys):
     argv = COMMANDS[command][:1] + ["--angles", SETS[name]] + COMMANDS[command][1:]
     assert digest(argv, capsys) == GOLDEN[(name, command)]
+
+
+@pytest.mark.parametrize("name, degree", sorted(CHECK_RING_GOLDEN))
+def test_golden_check_ring_degree(name, degree, capsys):
+    argv = ["check-ring", "--angles", SETS[name], "--degree-bound", str(degree)]
+    assert digest(argv, capsys) == CHECK_RING_GOLDEN[(name, degree)]
