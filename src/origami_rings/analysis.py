@@ -22,12 +22,16 @@ from math import lcm
 from .construction import nontrivial_monomials, projection_set
 from .cyclotomic import AmbientField, field_order
 from .diophantine import RationalRowSolver
-from .errors import UnsupportedConfigurationError
+from .errors import CapExceededError, UnsupportedConfigurationError
 from .geometry import AngleSet, UnitAngle, angle_arg_compare, intersect
 from .ratfunc import ParamRational, common_denominator, scaled_numerator
 from .scalars import ExactScalar, Rational, as_scalar
 
 log = logging.getLogger(__name__)
+
+# ceiling on a certificate's degree bound; check_ring searches no higher, so
+# every certificate it emits can be evaluated again
+_MAX_CERT_DEGREE = 64
 
 # -- quadratic integers and lattices ------------------------------------------
 
@@ -149,27 +153,53 @@ class Certificate:
     degree_bound: int
 
 
+def _cap_degree(degree_bound: int) -> None:
+    if degree_bound > _MAX_CERT_DEGREE:
+        raise CapExceededError(
+            f"degree bound {degree_bound} is above the ceiling {_MAX_CERT_DEGREE}"
+        )
+
+
 def evaluate_certificate(cert: Certificate, generators, projections) -> ExactScalar:
     """Sum of the certificate's terms, with the generator combination of each
     distinct monomial formed first and the monomial evaluated once.
 
-    A term must name a generator and projections in range, with exponents of
-    at least 1 (an inverse power would leave Z[P]); anything else raises
-    ValueError.  Numeric inputs are evaluated on integer vectors in one
-    field, parametric ones on scalars.
+    A term must name a generator in range and projections in range, in
+    increasing order, with exponents of at least 1 (an inverse power would
+    leave Z[P]); its coefficient must be nonzero, its total degree at most
+    ``cert.degree_bound``, and no other term may name the same (generator,
+    monomial) pair.  Anything else raises ValueError, and a degree bound
+    above _MAX_CERT_DEGREE raises CapExceededError, all before any
+    arithmetic, so the work is bounded by the number of terms and the
+    ceiling.  Numeric inputs are evaluated on integer vectors in one field,
+    parametric ones on scalars.
     """
+    _cap_degree(cert.degree_bound)
     generators = [as_scalar(g) for g in generators]
     projections = [as_scalar(p) for p in projections]
-    combos = {}
+    combos = {}  # monomial -> {generator: coefficient}
     for term in cert.terms:
-        if not 0 <= term.generator < len(generators):
-            raise ValueError(f"unknown generator id {term.generator}")
-        for pid, exp in term.monomial:
-            if not 0 <= pid < len(projections):
-                raise ValueError(f"unknown projection id {pid}")
+        gen, monomial = term.generator, term.monomial
+        if not 0 <= gen < len(generators):
+            raise ValueError(f"unknown generator id {gen}")
+        if not term.coefficient:
+            raise ValueError("certificate term with coefficient 0")
+        degree, last = 0, -1
+        for pid, exp in monomial:
+            if not last < pid < len(projections):
+                raise ValueError(f"projection id {pid} unknown or out of order")
             if exp < 1:
                 raise ValueError(f"exponent {exp} of projection {pid} is not positive")
-        combos.setdefault(term.monomial, []).append((term.generator, term.coefficient))
+            degree += exp
+            last = pid
+        if degree > cert.degree_bound:
+            raise ValueError(
+                f"term of degree {degree} above the degree bound {cert.degree_bound}"
+            )
+        parts = combos.setdefault(monomial, {})
+        if gen in parts:
+            raise ValueError(f"repeated term: generator {gen}, monomial {monomial}")
+        parts[gen] = term.coefficient
     if any(isinstance(v, ParamRational) for v in generators + projections):
         return _scalar_evaluate(combos, generators, projections)
     return _vector_evaluate(combos, generators, projections)
@@ -180,7 +210,7 @@ def _scalar_evaluate(combos, generators, projections) -> ExactScalar:
     total = Rational(0)
     for monomial, parts in combos.items():
         value = Rational(0)
-        for gen, coeff in parts:
+        for gen, coeff in parts.items():
             value = value + generators[gen] * coeff
         for pid, exp in monomial:
             value = value * projections[pid] ** exp
@@ -201,7 +231,7 @@ def _vector_evaluate(combos, generators, projections) -> ExactScalar:
     total = [0] * field.degree
     for monomial, parts in combos.items():
         value = [0] * field.degree
-        for gen, coeff in parts:
+        for gen, coeff in parts.items():
             value = [v + coeff * c for v, c in zip(value, gens[gen])]
         for pid, exp in monomial:
             value = field.mul(value, power(pid, exp))
@@ -377,8 +407,11 @@ def check_ring(angles: AngleSet, degree_bound: int = 3):
     Four or more: a full set of pairwise product certificates yields Ring; a
     failed bounded search yields Unknown, never NotRing.  For a parametric
     angle set the verdict is about the formal parameter field: individual
-    specializations of t may behave differently.
+    specializations of t may behave differently.  A degree bound above
+    _MAX_CERT_DEGREE raises CapExceededError, as `verify` would refuse the
+    certificates.
     """
+    _cap_degree(degree_bound)
     if not angles.contains_one():
         raise UnsupportedConfigurationError(
             "the real axis direction must belong to the angle set"

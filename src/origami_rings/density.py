@@ -10,19 +10,25 @@ the ceilings, and the final error comparison.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import ProjectionSet, nontrivial_monomials, projection_set
+from .cyclotomic import field_order
 from .errors import ScalingProjectionNotFoundError, UnsupportedConfigurationError
 from .geometry import AngleSet
 from .ratfunc import ParamRational
 from .scalars import (
     ExactScalar,
+    Rational,
     ceil_exact,
     real_imag_parts,
     real_sign,
 )
+
+log = logging.getLogger(__name__)
 
 
 def find_scaling_projection(projections: ProjectionSet) -> ExactScalar:
@@ -96,6 +102,66 @@ class DensityWitness:
         }
 
 
+def _least_exponent(p, c, half: Fraction, stats=None):
+    """(n, p**n, t): the least n >= 0 with half - c*p**n > 0, and the number
+    t of exact sign tests that found it.
+
+    For 0 < p < 1 and c > 0 the predicate is monotone in n.  An estimate from
+    64-bit upper bounds of p and c is confirmed by exact sign tests at n and
+    n - 1.  When it misses, or cannot be formed, a gallop from it and a
+    bisection find n, so the sign tests stay O(log n) in number either way.
+    ``stats`` goes to the sign tests (see real_sign).
+    """
+    powers = {}
+    tests = 0
+
+    def holds(k):
+        nonlocal tests
+        if k not in powers:
+            powers[k] = powers[k - 1] * p if k - 1 in powers else p**k
+        tests += 1
+        return real_sign(half - c * powers[k], stats) > 0
+
+    n = _estimate(p, c, half)
+    if n:
+        powers[n - 1] = p ** (n - 1)
+    # bracket: lo fails (or is -1), hi holds
+    step = 1
+    if holds(n):
+        lo, hi = n - 1, n
+        while lo >= 0 and holds(lo):
+            hi, lo = lo, max(lo - 2 * step, -1)
+            step *= 2
+    else:
+        lo, hi = n, n + 1
+        while not holds(hi):
+            lo, hi = hi, hi + 2 * step
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, powers[hi], tests
+
+
+def _estimate(p, c, half: Fraction) -> int:
+    """Least n with c_hi * p_hi**n < half for upper bounds c_hi >= c and
+    p_hi >= p, from logarithms of integer numerators and denominators (a
+    float of a tiny half would underflow); 0 when p_hi reaches 1, in floats
+    too."""
+
+    def ln(q: Fraction) -> float:
+        return math.log(q.numerator) - math.log(q.denominator)
+
+    p_hi, c_hi = (v.to_interval(64).real_bounds()[1] for v in (p, c))
+    drop = -ln(p_hi)
+    if drop <= 0:
+        return 0
+    return max(0, math.floor((ln(c_hi) - ln(half)) / drop) + 1)
+
+
 def approximate(target_re, target_im, epsilon, angles: AngleSet) -> DensityWitness:
     """Produce a witness with |value - target| < epsilon, certified exactly.
 
@@ -124,24 +190,29 @@ def approximate(target_re, target_im, epsilon, angles: AngleSet) -> DensityWitne
     re_z, im_z = real_imag_parts(z)
     abs_im = im_z if real_sign(im_z) > 0 else -im_z
     half = epsilon / 2
+    stats = {"order": field_order(p), "climbs": 0, "bits": 0}
 
-    n2 = 0
-    while real_sign(half - abs_im * p**n2) <= 0:
-        n2 += 1
-    theta = im_z * p**n2  # signed vertical step
-    b = ceil_exact(target_im * theta.inv())
+    n2, p_n2, stats["n2_tests"] = _least_exponent(p, abs_im, half, stats)
+    theta = im_z * p_n2  # signed vertical step
+    b = ceil_exact(target_im * theta.inv(), stats)
 
-    n1 = 0
-    while real_sign(half - p**n1) <= 0:
-        n1 += 1
-    residual = target_re - b * p**n2 * re_z
-    a = ceil_exact(residual * (p**n1).inv())
+    n1, p_n1, stats["n1_tests"] = _least_exponent(p, Rational(1), half, stats)
+    residual = target_re - b * p_n2 * re_z
+    a = ceil_exact(residual * p_n1.inv(), stats)
 
-    value = a * p**n1 + b * p**n2 * z
+    value = a * p_n1 + b * p_n2 * z
     re_v, im_v = real_imag_parts(value)
     err_sq = (re_v - target_re) ** 2 + (im_v - target_im) ** 2
-    if real_sign(epsilon**2 - err_sq) <= 0:
+    if real_sign(epsilon**2 - err_sq, stats) <= 0:
         raise RuntimeError("witness failed its exact error certification")
+    if log.isEnabledFor(logging.DEBUG):
+        stats.update(n1=n1, n2=n2)
+        log.debug(
+            "density witness: p of order %(order)d, N1 %(n1)d after %(n1_tests)d "
+            "sign tests, N2 %(n2)d after %(n2_tests)d, %(climbs)d ceiling "
+            "climbs, refinement up to %(bits)d bits",
+            stats,
+        )
     return DensityWitness(
         target_re=target_re,
         target_im=target_im,

@@ -300,11 +300,13 @@ def scalar_from_obj(obj) -> ExactScalar:
     raise ValueError(f"unknown scalar backend {backend!r}")
 
 
-def real_sign(x) -> int:
+def real_sign(x, stats=None) -> int:
     """Exact sign of a real scalar: -1, 0 or +1.
 
     Rationals are compared directly; algebraic values go through interval
-    refinement after an exact zero test, so the loop terminates.
+    refinement after an exact zero test, so the loop terminates.  A ``stats``
+    dict, when given, keeps in ``"bits"`` the highest precision a refinement
+    needed.
     """
     if isinstance(x, (int, Fraction)):
         return (x > 0) - (x < 0)
@@ -315,10 +317,10 @@ def real_sign(x) -> int:
     if x.is_rational():
         v = x.as_fraction()
         return 1 if v > 0 else -1
-    return refined_sign(x)
+    return refined_sign(x, stats=stats)
 
 
-def refined_sign(x, imag: bool = False) -> int:
+def refined_sign(x, imag: bool = False, stats=None) -> int:
     """Sign of the real part of a numeric scalar, or of its imaginary part,
     from interval enclosures at doubling precision.  The part must be
     nonzero; callers test that exactly first, so the loop terminates."""
@@ -326,32 +328,52 @@ def refined_sign(x, imag: bool = False) -> int:
     while bits <= _MAX_SIGN_BITS:
         iv = x.to_interval(bits)
         lo, hi = iv.imag_bounds() if imag else iv.real_bounds()
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+        if lo > 0 or hi < 0:
+            _note_bits(stats, bits)
+            return 1 if lo > 0 else -1
         bits *= 2
     part = "imaginary" if imag else "real"
     raise PrecisionError(f"sign of nonzero {part} part did not resolve")
+
+
+def _note_bits(stats, bits: int) -> None:
+    if stats is not None:
+        stats["bits"] = max(stats.get("bits", 0), bits)
 
 
 def real_compare(a, b) -> int:
     return real_sign(as_scalar(a) - b)
 
 
-def ceil_exact(x) -> int:
-    """Exact ceiling of a real scalar."""
+def ceil_exact(x, stats=None) -> int:
+    """Exact ceiling of a real scalar.
+
+    The enclosure is refined at doubling precision until it is narrower than
+    1, so that the ceiling is one of two integers and at most two exact sign
+    tests pick it.  A ``stats`` dict, when given, keeps in ``"bits"`` the
+    highest precision used and adds the unit steps taken to ``"climbs"``.
+    """
     if isinstance(x, (int, Fraction)):
         return math.ceil(Fraction(x))
     if not x.is_real():
         raise ValueError("ceil_exact needs a real scalar")
     if x.is_rational():
         return math.ceil(x.as_fraction())
-    lo, _ = x.to_interval(64).real_bounds()
-    n = math.ceil(lo)
-    # n <= ceil(x); climb with exact sign tests (the gap is at most a few units)
-    while real_sign(x - n) > 0:
+    bits = 64
+    while True:
+        lo, hi = x.to_interval(bits).real_bounds()
+        if hi - lo < 1:
+            break
+        bits *= 2
+        if bits > _MAX_SIGN_BITS:
+            raise PrecisionError("enclosure for a ceiling did not narrow below 1")
+    _note_bits(stats, bits)
+    # lo <= x <= hi < lo + 1, so ceil(x) is n or n + 1
+    n = start = math.ceil(lo)
+    while real_sign(x - n, stats) > 0:
         n += 1
+    if stats is not None:
+        stats["climbs"] = stats.get("climbs", 0) + n - start
     return n
 
 

@@ -12,7 +12,10 @@ scalar products (`membership_columns`) and assembles a fresh Fraction
 coordinate matrix for every target: parametric targets over the target's
 and the columns' denominators, cyclotomic ones at the lcm of the target's
 and the columns' orders.  Certificates are evaluated on scalars, term by term
-(`oracle_evaluate_certificate`).  Cyclotomic reduction is a Fraction polynomial division by Phi_n
+(`oracle_evaluate_certificate`).  Density witnesses take their exponents
+from a scan n = 0, 1, 2, ... (`oracle_least_exponent`) and their ceilings
+from a climb by units from a 64-bit lower bound (`oracle_ceil`),
+`oracle_witness` puts them together.  Cyclotomic reduction is a Fraction polynomial division by Phi_n
 (`oracle_reduce`).  Parametric arithmetic is redone over Q with a Fraction
 polynomial Euclid on every operation (`oracle_param_*`).  Interval
 enclosures are redone with mpmath's ivmpf operators (`OracleInterval`),
@@ -36,11 +39,16 @@ from origami_rings import (
     UnitAngle,
     bracket,
     euler_phi,
+    find_scaling_projection,
     intersect,
+    nontrivial_monomials,
+    projection_set,
     real_imag_parts,
+    real_sign,
     root_of_unity,
 )
 from origami_rings.analysis import Certificate, CertTerm
+from origami_rings.density import DensityWitness
 from origami_rings.diophantine import LinearSolver, diagonalize
 from origami_rings.intervals import interval_context
 
@@ -683,3 +691,48 @@ def oracle_evaluate_certificate(cert, generators, projections):
             value = value * projections[pid] ** exp
         total = total + value
     return total
+
+
+# -- density ----------------------------------------------------------------------
+
+
+def oracle_least_exponent(p, c, half):
+    """Least n >= 0 with half - c*p**n > 0, testing n = 0, 1, 2, ... in turn."""
+    n = 0
+    while real_sign(half - c * p**n) <= 0:
+        n += 1
+    return n
+
+
+def oracle_ceil(x):
+    """Ceiling of a real scalar, climbing by units from a 64-bit lower bound."""
+    if x.is_rational():
+        return math.ceil(x.as_fraction())
+    lo, _ = x.to_interval(64).real_bounds()
+    n = math.ceil(lo)
+    while real_sign(x - n) > 0:
+        n += 1
+    return n
+
+
+def oracle_witness(target_re, target_im, epsilon, angles):
+    """The witness a*p**N1 + b*p**N2*z with the least exponents, from the
+    scans and the unit-climb ceilings above."""
+    target_re, target_im, epsilon = Fraction(target_re), Fraction(target_im), Fraction(epsilon)
+    p = find_scaling_projection(projection_set(angles))
+    z = min(
+        (m.value for m in nontrivial_monomials(angles) if not m.value.is_real()),
+        key=lambda v: v.canonical_key(),
+    )
+    re_z, im_z = real_imag_parts(z)
+    abs_im = im_z if real_sign(im_z) > 0 else -im_z
+    half = epsilon / 2
+    n2 = oracle_least_exponent(p, abs_im, half)
+    b = oracle_ceil(target_im * (im_z * p**n2).inv())
+    n1 = oracle_least_exponent(p, Rational(1), half)
+    a = oracle_ceil((target_re - b * p**n2 * re_z) * (p**n1).inv())
+    value = a * p**n1 + b * p**n2 * z
+    return DensityWitness(
+        target_re=target_re, target_im=target_im, epsilon=epsilon, p=p, z=z,
+        a=a, b=b, n1=n1, n2=n2, value=value,
+    )

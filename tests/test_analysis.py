@@ -8,6 +8,7 @@ import pytest
 
 from origami_rings import (
     AngleSet,
+    CapExceededError,
     Certificate,
     ConstructionConfig,
     MembershipSolver,
@@ -465,6 +466,37 @@ def test_malformed_terms_are_rejected(backend, bad):
         verify_certificate(cert, gens, projs)
 
 
+def test_forged_terms_are_rejected():
+    """A zero coefficient, a repeated (generator, monomial) pair, a term above
+    the degree bound and a projection named twice in one monomial."""
+    verdict = check_ring(example_angles(), degree_bound=2)
+    gens, projs = verdict.context.generators, verdict.context.projections
+    good = verdict.certificates[0]
+    forged = [
+        good.terms + (CertTerm(generator=1, monomial=(), coefficient=0),),
+        good.terms + (good.terms[0],),
+        good.terms + (CertTerm(generator=1, monomial=((0, 2), (1, 1)), coefficient=1),),
+        good.terms + (CertTerm(generator=1, monomial=((0, 1), (0, 1)), coefficient=1),),
+    ]
+    for terms in forged:
+        with pytest.raises(ValueError):
+            evaluate_certificate(Certificate(good.product, terms, good.degree_bound), gens, projs)
+
+
+def test_certificate_degree_ceiling():
+    generators, projections = example_problem_parts()
+    top = analysis._MAX_CERT_DEGREE
+    # a term at the ceiling is evaluated, one bound above it is refused
+    term = CertTerm(generator=1, monomial=((0, top),), coefficient=1)
+    cert = Certificate(product=None, terms=(term,), degree_bound=top)
+    value = evaluate_certificate(cert, generators, projections)
+    assert value == oracle_evaluate_certificate(cert, generators, projections)
+    with pytest.raises(CapExceededError):
+        evaluate_certificate(Certificate(None, (term,), top + 1), generators, projections)
+    with pytest.raises(CapExceededError):
+        check_ring(example_angles(), degree_bound=top + 1)
+
+
 def test_negative_product_id_is_rejected():
     generators, projections = example_problem_parts()
     cert = Certificate(product=(-1, 1), terms=(), degree_bound=0)
@@ -472,12 +504,23 @@ def test_negative_product_id_is_rejected():
         verify_certificate(cert, generators, projections)
 
 
+def merged(terms):
+    """The terms with coefficients of a repeated (generator, monomial) pair
+    summed and zero terms dropped: the same value, in the form
+    evaluate_certificate accepts."""
+    sums = {}
+    for t in terms:
+        key = (t.generator, t.monomial)
+        sums[key] = sums.get(key, 0) + t.coefficient
+    return tuple(CertTerm(g, m, c) for (g, m), c in sums.items() if c)
+
+
 def bumped(cert):
     """The certificate with its first coefficient raised by one."""
     first = cert.terms[0]
     return Certificate(
         cert.product,
-        (CertTerm(first.generator, first.monomial, first.coefficient + 1),) + cert.terms[1:],
+        merged((CertTerm(first.generator, first.monomial, first.coefficient + 1),) + cert.terms[1:]),
         cert.degree_bound,
     )
 
@@ -518,7 +561,7 @@ def test_random_certificates_match_scalar_oracle(backend):
     exponents = MembershipSolver(gens, projs, 3).exponents
     rng = random.Random(19)
     for _ in range(40):
-        terms = tuple(
+        terms = merged(
             CertTerm(
                 generator=rng.randrange(len(gens)),
                 monomial=tuple((pid, e) for pid, e in enumerate(rng.choice(exponents)) if e),

@@ -5,9 +5,11 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from origami_rings import analysis
 from origami_rings.cli import run
 
 EXAMPLE = "0,pi*1/6,pi*1/3,pi*1/2"
@@ -369,16 +371,55 @@ def test_verify_rejects_malformed_terms(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_verify_evaluates_high_projection_powers(capsys, tmp_path):
-    # a zero term with exponent 3000 leaves the value unchanged; forming the
-    # power must not recurse once per exponent step
+def test_verify_bounds_its_work(capsys, tmp_path):
+    # a zero term with exponent 200000 leaves the value unchanged, and one
+    # with coefficient 1 under a raised degree bound does not; both are
+    # refused before any power is formed, where they ran without bound
     obj = example_ring_file(capsys, tmp_path)
-    obj["certificates"][0]["terms"].append(
-        {"generator": 1, "monomial": {"0": 3000}, "coefficient": "0"}
+    cert = obj["certificates"][0]
+    cert["terms"].append({"generator": 1, "monomial": {"0": 200000}, "coefficient": "0"})
+    start = time.perf_counter()
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 2
+    assert "verified" not in stdout and err.startswith("error:")
+    cert["terms"][-1]["coefficient"] = "1"
+    cert["degree_bound"] = 200000
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 5
+    assert "verified" not in stdout and err.startswith("error:")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda terms: terms.append(
+            {"generator": 1, "monomial": {}, "coefficient": "0"}), id="zero-coefficient"),
+        pytest.param(lambda terms: terms.append(dict(terms[0])), id="repeated-term"),
+        pytest.param(lambda terms: terms.append(
+            {"generator": 1, "monomial": {"0": 3}, "coefficient": "1"}), id="above-degree-bound"),
+        # "00" also names projection 0: the term is p_0**2 * g_1 in disguise
+        pytest.param(lambda terms: terms.append(
+            {"generator": 1, "monomial": {"0": 1, "00": 1}, "coefficient": "1"}),
+            id="projection-named-twice"),
+    ],
+)
+def test_verify_rejects_forged_terms(capsys, tmp_path, edit):
+    obj = example_ring_file(capsys, tmp_path)
+    edit(obj["certificates"][0]["terms"])
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 2
+    assert "verified" not in stdout and err.startswith("error:")
+
+
+def test_check_ring_refuses_degree_above_ceiling(capsys):
+    code, stdout, err = invoke(
+        ["check-ring", "--angles", EXAMPLE, "--degree-bound",
+         str(analysis._MAX_CERT_DEGREE + 1)],
+        capsys,
     )
-    code, stdout, _ = verify_obj(obj, capsys, tmp_path)
-    assert code == 0
-    assert "verified" in stdout
+    assert code == 5
+    assert stdout == "" and err.startswith("error:")
 
 
 def test_verify_garbage_is_usage_error(capsys, tmp_path):

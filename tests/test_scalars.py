@@ -1,5 +1,6 @@
 """Scalar protocol: rational backend, coercion, exact predicates."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -144,3 +145,15 @@ def test_scalar_from_obj_round_trip():
     assert scalar_from_obj(z.to_obj()) == z
     t = ParamRational((Fraction(1), Fraction(0), Fraction(1)), (Fraction(2), Fraction(1)))
     assert scalar_from_obj(t.to_obj()) == t
+
+
+def test_ceil_exact_of_large_values():
+    # sqrt(3) shifted by 10**k: the enclosure must narrow below 1 before the
+    # climb, which then takes at most one unit step
+    sqrt3 = root_of_unity(12, 1) + root_of_unity(12, 11)
+    for k in (0, 20, 40, 80):
+        stats = {}
+        assert ceil_exact(sqrt3 * 10**k, stats) == math.isqrt(3 * 10 ** (2 * k)) + 1
+        assert ceil_exact(sqrt3 + 10**k, stats) == 10**k + 2
+        assert stats["climbs"] <= 2
+        assert floor_exact(-sqrt3 * 10**k) == -math.isqrt(3 * 10 ** (2 * k)) - 1
