@@ -6,7 +6,9 @@ directions the closure is spanned over Z[P] (P the projection values) by the
 nontrivial elementary monomials together with 1, and ring-ness is certified
 by expressing every pairwise product of generators back in the module; the
 search is complete up to a monomial degree bound, so its failure reports
-Unknown rather than NotRing.
+Unknown rather than NotRing.  The membership solver and certificate
+evaluation work on the vectors of one bulk field (`ratfunc.bulk_field`),
+for numeric and parametric values alike.
 """
 
 from __future__ import annotations
@@ -14,17 +16,14 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .construction import nontrivial_monomials, projection_set
-from .cyclotomic import AmbientField, field_order
 from .diophantine import RationalRowSolver
 from .errors import CapExceededError, UnsupportedConfigurationError
 from .geometry import AngleSet, UnitAngle, angle_arg_compare, intersect
-from .ratfunc import ParamRational, common_denominator, scaled_numerator
+from .ratfunc import ParamField, bulk_field, common_denominator, scaled_numerator
 from .scalars import ExactScalar, Rational, as_scalar
 
 log = logging.getLogger(__name__)
@@ -171,8 +170,8 @@ def evaluate_certificate(cert: Certificate, generators, projections) -> ExactSca
     monomial) pair.  Anything else raises ValueError, and a degree bound
     above _MAX_CERT_DEGREE raises CapExceededError, all before any
     arithmetic, so the work is bounded by the number of terms and the
-    ceiling.  Numeric inputs are evaluated on integer vectors in one field,
-    parametric ones on scalars.
+    ceiling.  The sum is taken in the inputs' bulk field
+    (`ratfunc.bulk_field`), so parametric and cyclotomic inputs do not mix.
     """
     _cap_degree(cert.degree_bound)
     generators = [as_scalar(g) for g in generators]
@@ -200,30 +199,14 @@ def evaluate_certificate(cert: Certificate, generators, projections) -> ExactSca
         if gen in parts:
             raise ValueError(f"repeated term: generator {gen}, monomial {monomial}")
         parts[gen] = term.coefficient
-    if any(isinstance(v, ParamRational) for v in generators + projections):
-        return _scalar_evaluate(combos, generators, projections)
     return _vector_evaluate(combos, generators, projections)
 
 
-def _scalar_evaluate(combos, generators, projections) -> ExactScalar:
-    """The sum on scalars, for parametric inputs."""
-    total = Rational(0)
-    for monomial, parts in combos.items():
-        value = Rational(0)
-        for gen, coeff in parts.items():
-            value = value + generators[gen] * coeff
-        for pid, exp in monomial:
-            value = value * projections[pid] ** exp
-        total = total + value
-    return total
-
-
 def _vector_evaluate(combos, generators, projections) -> ExactScalar:
-    """The sum on integer vectors in Q(zeta_N), N the lcm of the input
-    orders: generators over one denominator G, projections over one
-    denominator Q, so a monomial of degree k sits over G*Q^k and the sum
-    over G*Q^K for the top degree K."""
-    field = AmbientField(lcm(*(field_order(v) for v in generators + projections)))
+    """The sum on vectors of the inputs' bulk field: generators over one
+    denominator G, projections over one denominator Q, so a monomial of
+    degree k sits over G*Q^k and the sum over G*Q^K for the top degree K."""
+    field = bulk_field(generators + projections)
     gens, g = field.vectors(generators)
     projs, q = field.vectors(projections)
     power = _projection_powers(field, projs)
@@ -240,7 +223,7 @@ def _vector_evaluate(combos, generators, projections) -> ExactScalar:
     return field.element(total, g * q**top, field.order)
 
 
-def _projection_powers(field: AmbientField, projs):
+def _projection_powers(field, projs):
     """power(pid, exp): numerators of projs[pid]**exp in field over the
     exp-th power of their denominator, each power formed once."""
     known = [[p] for p in projs]
@@ -270,16 +253,15 @@ def verify_certificate(cert: Certificate, generators, projections, expected=None
 class MembershipSolver:
     """Reusable search for integer Z[P]-combinations over fixed generators.
 
-    The columns (monomial times generator) and one integer coordinate space
-    for them are fixed at construction.  Numeric columns are products of
-    integer vectors in Q(zeta_N), N the lcm of the orders of the values in
-    some column; parametric ones are scalar products over their common
-    denominator D.  The matrix of integer numerators, one denominator per
-    column, is diagonalized once; a target is mapped into the same space as
-    numerators over one denominator, or rejected when it lies outside.
-    Construction logs one DEBUG record to the ``origami_rings.analysis``
-    logger, whose args dict holds the order N (None for parametric columns)
-    and the matrix's rows, columns and rank.
+    The columns (monomial times generator) are built once, as products in
+    the bulk field (`ratfunc.bulk_field`) of the values in some column.  Only
+    their integer rows depend on the field: numeric columns are integer
+    vectors in Q(zeta_N), one denominator per column; parametric ones are the
+    coefficients of each column times their common denominator D.  That
+    matrix is diagonalized once; a target is mapped to rows the same way, or
+    rejected when it lies outside.  Construction logs one DEBUG record to the
+    ``origami_rings.analysis`` logger, whose args dict holds the order N
+    (None for parametric columns) and the matrix's rows, columns and rank.
     """
 
     def __init__(self, generators, projections, degree_bound: int):
@@ -292,26 +274,24 @@ class MembershipSolver:
         self.degree_bound = degree_bound
         self.exponents = _exponent_vectors(len(self.projections), degree_bound)
         projs = self.projections if degree_bound else ()  # those in some column
-        if any(isinstance(v, ParamRational) for v in self.generators + projs):
-            self._field = None
-            gens = [_as_param(g) for g in self.generators]
-            columns = self._columns(gens, lambda pid, exp: projs[pid] ** exp, operator.mul)
-            self._common = common_denominator(columns)
-            cols = [scaled_numerator(c, self._common) for c in columns]
+        field = bulk_field(self.generators + projs)
+        gens, g = field.vectors(self.generators)
+        projs, q = field.vectors(projs)
+        columns = self._columns(gens, _projection_powers(field, projs), field.mul)
+        if isinstance(field, ParamField):
+            common = common_denominator(c for c, in columns)
+            cols = [scaled_numerator(c, common) for c, in columns]
+            self._rows = lambda x: scaled_numerator(field.vector(x)[0][0], common)
         else:
-            orders = (field_order(v) for v in self.generators + projs)
-            field = self._field = AmbientField(lcm(*orders))
-            gens, g = field.vectors(self.generators)
-            projs, q = field.vectors(projs)
-            nums = self._columns(gens, _projection_powers(field, projs), field.mul)
             dens = [g * q ** sum(vec) for vec in self.exponents for _ in gens]
-            cols = list(zip(nums, dens))
+            cols = list(zip(columns, dens))
+            self._rows = field.vector
         self._width = max(len(num) for num, _ in cols)
         rows = [[num[i] if i < len(num) else 0 for num, _ in cols] for i in range(self._width)]
         self._solver = RationalRowSolver(rows, [den for _, den in cols])
         if log.isEnabledFor(logging.DEBUG):
             stats = {
-                "order": None if self._field is None else self._field.order,
+                "order": field.order,
                 "rows": self._width,
                 "columns": len(cols),
                 "rank": self._solver.rank,
@@ -339,11 +319,7 @@ class MembershipSolver:
         return CertTerm(generator=gen, monomial=monomial, coefficient=coeff)
 
     def solve(self, target) -> Certificate | None:
-        target = as_scalar(target)
-        if self._field is not None:
-            coords = self._field.vector(target)
-        else:
-            coords = scaled_numerator(_as_param(target), self._common)
+        coords = self._rows(as_scalar(target))
         if coords is None or len(coords[0]) > self._width:
             return None  # outside Q(zeta_N), not cleared by D, or of too high degree
         num, den = coords
@@ -354,12 +330,6 @@ class MembershipSolver:
             self._term_of_index(i, c) for i, c in enumerate(solution) if c
         )
         return Certificate(product=None, terms=terms, degree_bound=self.degree_bound)
-
-
-def _as_param(value) -> ParamRational:
-    if isinstance(value, ParamRational):
-        return value
-    return ParamRational.from_rational(value.as_fraction())
 
 
 # -- ring verdicts ---------------------------------------------------------------
@@ -490,6 +460,12 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 
 def certificate_from_obj(obj) -> Certificate:
+    """Inverse of certificate_to_obj; a certificate, term or monomial that is
+    not a JSON object raises ValueError."""
+    if not isinstance(obj, dict) or not all(
+        isinstance(t, dict) and isinstance(t.get("monomial"), dict) for t in obj["terms"]
+    ):
+        raise ValueError("certificate, term or monomial is not a JSON object")
     terms = tuple(
         CertTerm(
             generator=int(t["generator"]),

@@ -192,6 +192,8 @@ def _declared_scalar(value):
 def cmd_verify(args) -> int:
     with (sys.stdin if args.path == "-" else open(args.path)) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("a verdict file holds one JSON object")
     verdict = obj.get("verdict")
     if verdict == "ring":
         generators = [scalar_from_obj(g) for g in obj["generators"]]

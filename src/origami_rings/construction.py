@@ -5,7 +5,8 @@ lines drawn through existing points with directions from the angle set.
 Since a point p is the intersection of two lines through p itself, each
 generation contains the previous one.  Alongside the raw closure live the
 elementary monomials (intersections seeded at 0 and 1), their products, and
-their real-axis projections.
+their real-axis projections.  A step runs on the vectors of one bulk field
+(`ratfunc.bulk_field`), for numeric and parametric sets alike.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import time
 from dataclasses import dataclass
 from operator import sub
 
-from .cyclotomic import AmbientField, CyclotomicElement, field_order
-from .errors import CapExceededError, ParallelLinesError
-from .geometry import AngleSet, UnitAngle, bracket, intersect, project_to_real_axis
-from .scalars import ExactScalar, Rational
+from .cyclotomic import field_order
+from .errors import CapExceededError
+from .geometry import AngleSet, UnitAngle, intersect, project_to_real_axis
+from .ratfunc import bulk_field
+from .scalars import ExactScalar, Rational, as_scalar
 
 log = logging.getLogger(__name__)
 
@@ -50,8 +52,8 @@ class GenerationSet:
         self.points = tuple(by_key[k] for k in sorted(by_key))
         self._keys = frozenset(by_key)
 
-    def contains(self, value: ExactScalar) -> bool:
-        return value.canonical_key() in self._keys
+    def contains(self, value) -> bool:
+        return as_scalar(value).canonical_key() in self._keys
 
     def __contains__(self, value):
         return self.contains(value)
@@ -84,21 +86,15 @@ def step(gen: GenerationSet, angles: AngleSet, max_points: int = 250_000) -> Gen
     (pair, p, q) as with one intersect call per ordered point pair, and is
     stored as that intersect call would store it.
 
-    Numeric sets run on integer vectors in one cyclotomic field (see
-    `_vector_step`); parametric sets run on scalars.  Each step logs one
-    DEBUG record to the ``origami_rings.construction`` logger, with the
-    ambient order, the distinct offsets (|U|, |V|) per pair, the candidates,
-    the new points and the seconds taken.
+    The step runs on the vectors of one bulk field (`ratfunc.bulk_field`):
+    integer vectors in one cyclotomic field for numeric sets, one-entry
+    vectors of ParamRational for parametric ones.  Each step logs one DEBUG
+    record to the ``origami_rings.construction`` logger, with the ambient
+    order (None for a parametric set), the distinct offsets (|U|, |V|) per
+    pair, the candidates, the new points and the seconds taken.
     """
     start = time.perf_counter()
-    numeric = not angles.is_parametric() and all(
-        isinstance(p, (Rational, CyclotomicElement)) for p in gen.points
-    )
-    if numeric:
-        order, points, sizes = _vector_step(gen, angles, max_points)
-    else:
-        order = None
-        points, sizes = _scalar_step(gen, angles, max_points)
+    order, points, sizes = _vector_step(gen, angles, max_points)
     out = GenerationSet(gen.depth + 1, points)
     if log.isEnabledFor(logging.DEBUG):
         stats = {
@@ -117,28 +113,22 @@ def step(gen: GenerationSet, angles: AngleSet, max_points: int = 250_000) -> Gen
     return out
 
 
-def _cap_exceeded(gen: GenerationSet, max_points: int, points) -> CapExceededError:
-    return CapExceededError(
-        f"generation {gen.depth + 1} exceeds {max_points} points",
-        partial=GenerationSet(gen.depth + 1, points),
-    )
-
-
 def _vector_step(gen: GenerationSet, angles: AngleSet, max_points: int):
-    """The step on integer vectors at one ambient order N, the lcm of the
-    direction orders and of the point orders.
+    """The step on the vectors of the bulk field of the directions and the
+    points: for numeric sets the cyclotomic field of order N, the lcm of
+    their orders.
 
     With the multipliers of `AngleSet.offset_multipliers`, each offset is
     U_p = x*conj(p) - y*p and V_q = x*conj(q) - y'*q, where x*conj(p) serves
     both sides.  Every value of the step sits over one common denominator, so
-    a value's numerator tuple names it and no canonical key is computed.  A
-    new point becomes a scalar at the order the scalar formula gives it, the
-    lcm of the orders of alpha, beta, p and q, so stored representatives
-    match `intersect`.  Returns (N, points, offset sizes per pair).
+    a value's numerator tuple names it, and numeric sets compute no canonical
+    key.  A new point becomes a scalar at the order the scalar formula gives
+    it, the lcm of the orders of alpha, beta, p and q, so stored
+    representatives match `intersect`.  Returns (N or None, points, offset
+    sizes per pair).
     """
     point_orders = [field_order(p) for p in gen.points]
-    n = math.lcm(*(field_order(a.value) for a in angles), *point_orders)
-    field = AmbientField(n)
+    field = bulk_field([a.value for a in angles] + list(gen.points))
     flat, d = field.vectors(m for triple in angles.offset_multipliers() for m in triple)
     nums, g = field.vectors(gen.points)
     conjs = [field.conj(num) for num in nums]
@@ -166,41 +156,11 @@ def _vector_step(gen: GenerationSet, angles: AngleSet, max_points: int):
                     seen.add(z)
                     new.append((z, math.lcm(ou, ov)))
                     if len(seen) > max_points:
-                        raise _cap_exceeded(gen, max_points, build())
-    return n, build(), sizes
-
-
-def _scalar_step(gen: GenerationSet, angles: AngleSet, max_points: int):
-    """The step on scalars, deduplicated by canonical key.  Returns (points,
-    offset sizes per pair)."""
-    found = {p.canonical_key(): p for p in gen.points}
-    sizes = []
-    for alpha, beta in angles.pairs():
-        a, b = alpha.value, beta.value
-        denom = bracket(a, b)
-        if denom.is_zero():
-            raise ParallelLinesError("directions coincide mod sign")
-        b_scaled, a_scaled = b / denom, a / denom
-        us = _distinct(bracket(a, p) * b_scaled for p in gen.points)
-        vs = _distinct(bracket(b, q) * a_scaled for q in gen.points)
-        sizes.append((len(us), len(vs)))
-        for u in us:
-            for v in vs:
-                z = u - v
-                k = z.canonical_key()
-                if k not in found:
-                    found[k] = z
-                    if len(found) > max_points:
-                        raise _cap_exceeded(gen, max_points, found.values())
-    return found.values(), sizes
-
-
-def _distinct(values) -> list[ExactScalar]:
-    """Values deduplicated by canonical key, each at its first occurrence."""
-    out = {}
-    for v in values:
-        out.setdefault(v.canonical_key(), v)
-    return list(out.values())
+                        raise CapExceededError(
+                            f"generation {gen.depth + 1} exceeds {max_points} points",
+                            partial=GenerationSet(gen.depth + 1, build()),
+                        )
+    return field.order, build(), sizes
 
 
 def closure_to_depth(config: ConstructionConfig) -> list[GenerationSet]:

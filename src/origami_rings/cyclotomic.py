@@ -8,7 +8,8 @@ Phi_n comes from exact integer division, and every reduction (of products,
 of exponent maps, of the arbitrary polynomials the constructor accepts)
 folds through a per-order table of x^k mod Phi_n.  `AmbientField` hands the
 same integer vectors to bulk work at one order, such as the closure step
-and the membership solver.  Canonical keys first descend to the smallest
+and the membership solver (`ratfunc.bulk_field` picks it, or `ParamField`
+for parametric values).  Canonical keys first descend to the smallest
 cyclotomic field containing the value, so equal values constructed in
 different orders compare and hash identically.
 """
@@ -421,8 +422,9 @@ class CyclotomicElement(ExactScalar):
 
 
 def field_order(x) -> int:
-    """Order of the cyclotomic field a numeric scalar is stored in; 1 for a Rational."""
-    return 1 if isinstance(x, Rational) else x.order
+    """Order of the cyclotomic field a scalar is stored in; 1 for any scalar
+    that is not a CyclotomicElement."""
+    return x.order if isinstance(x, CyclotomicElement) else 1
 
 
 class AmbientField:

@@ -7,6 +7,10 @@ coefficients of N and D together have gcd 1, and D has a positive leading
 coefficient.  Structural equality is then semantic equality.  The public
 `num` and `den` are the same value over Q with a monic denominator, built on
 first use.
+
+`ParamField` gives parametric values `AmbientField`'s bulk interface, and
+`bulk_field` picks one of the two for a task, so the closure step, the
+membership solver and certificate evaluation each have one body.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from math import gcd, lcm
 from mpmath.libmp import mpi_add, mpi_mul, mpi_sub
 
 from . import _polys
-from .errors import NonInvertibleError
+from .cyclotomic import AmbientField, CyclotomicElement, field_order
+from .errors import BackendMismatchError, NonInvertibleError
 from .intervals import (
     ZERO,
     ComplexInterval,
@@ -26,7 +31,7 @@ from .intervals import (
     ratio_to_mpi,
     rational_to_iv,
 )
-from .scalars import ExactScalar, Rational
+from .scalars import ExactScalar, Rational, as_scalar
 
 
 def _canonical(n, d):
@@ -290,3 +295,51 @@ def scaled_numerator(value: ParamRational, common) -> tuple[tuple, int] | None:
     if mult is None:
         return None
     return _polys.zmul(mult, value._n), common[-1] * (value._d[-1] // d[-1])
+
+
+
+# -- bulk arithmetic ---------------------------------------------------------------
+
+
+class ParamField:
+    """`AmbientField`'s bulk interface for parametric values: the vector of a
+    value is [value] over denominator 1, a rational made a ParamRational, so
+    by the canonical form equal values give equal tuples.  There is no
+    cyclotomic order."""
+
+    __slots__ = ()
+    order = None
+    degree = 1
+
+    def vector(self, x) -> tuple[list, int]:
+        if isinstance(x, ParamRational):
+            return [x], 1
+        if not x.is_rational():
+            raise BackendMismatchError(f"cannot combine ParamRational with {type(x).__name__}")
+        return [ParamRational.from_rational(x.as_fraction())], 1
+
+    def vectors(self, values) -> tuple[list[list], int]:
+        return [self.vector(v)[0] for v in values], 1
+
+    def conj(self, num) -> list:
+        return [num[0].conj()]
+
+    def mul(self, a, b) -> list:
+        return [a[0] * b[0]]
+
+    def element(self, num, den: int, order=None) -> ParamRational:
+        """The value num[0], which an empty sum leaves as the int 0; every
+        vector of this field sits over `den` = 1, and `order` is ignored."""
+        return self.vector(as_scalar(num[0]))[0][0]
+
+
+def bulk_field(values) -> AmbientField | ParamField:
+    """The field for bulk work on values: ParamField when any is parametric,
+    else AmbientField at the lcm of their orders.  A parametric value next to
+    a non-rational cyclotomic one raises BackendMismatchError."""
+    values = list(values)
+    if not any(isinstance(v, ParamRational) for v in values):
+        return AmbientField(lcm(*(field_order(v) for v in values)))
+    if any(isinstance(v, CyclotomicElement) and not v.is_rational() for v in values):
+        raise BackendMismatchError("cannot combine ParamRational with CyclotomicElement")
+    return ParamField()

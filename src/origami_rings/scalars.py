@@ -282,7 +282,10 @@ def coerce(a: ExactScalar, b: ExactScalar):
 
 
 def scalar_from_obj(obj) -> ExactScalar:
-    """Inverse of ExactScalar.to_obj."""
+    """Inverse of ExactScalar.to_obj; a value that is not a JSON object raises
+    ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"scalar is not a JSON object: {obj!r}")
     backend = obj.get("backend")
     if backend == "rational":
         return Rational(Fraction(obj["value"]))

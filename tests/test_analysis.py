@@ -8,6 +8,7 @@ import pytest
 
 from origami_rings import (
     AngleSet,
+    BackendMismatchError,
     CapExceededError,
     Certificate,
     ConstructionConfig,
@@ -580,7 +581,10 @@ def test_membership_solver_logs_its_shape(caplog):
     # the 20 monomials of degree <= 3 in 3 projections times 4 generators.
     # At degree 0 the columns are the generators alone, so the order is the
     # lcm of the generator orders: 12 for (1, zeta_12), although the
-    # projection zeta_5 + 1/zeta_5 lies in Q(zeta_60) only
+    # projection zeta_5 + 1/zeta_5 lies in Q(zeta_60) only.  Parametric
+    # columns have no order; their rows are the coefficients of t^k over the
+    # common denominator: 40 columns (10 monomials of degree <= 2 in 3
+    # projections times 4 generators) in 31 rows at degree 2
     caplog.set_level(logging.DEBUG, logger="origami_rings.analysis")
     check_ring(example_angles(), degree_bound=3)
     check_ring(parse_angle_list("0,pi*1/5,pi*1/4,pi*1/3")[0], degree_bound=3)
@@ -589,6 +593,8 @@ def test_membership_solver_logs_its_shape(caplog):
     generators, projections = (Rational(1), root_of_unity(12, 1)), (fifth + fifth.conj(),)
     MembershipSolver(generators, projections, degree_bound=0)
     MembershipSolver(generators, projections, degree_bound=1)
+    check_ring(param_angles(), degree_bound=2)
+    check_ring(param_angles(), degree_bound=0)
     stats = [r.args for r in caplog.records if r.name == "origami_rings.analysis"]
     assert stats == [
         {"order": 12, "rows": 4, "columns": 80, "rank": 2},
@@ -596,7 +602,29 @@ def test_membership_solver_logs_its_shape(caplog):
         {"order": 12, "rows": 4, "columns": 4, "rank": 2},
         {"order": 12, "rows": 4, "columns": 2, "rank": 2},
         {"order": 60, "rows": 16, "columns": 4, "rank": 4},
+        {"order": None, "rows": 31, "columns": 40, "rank": 16},
+        {"order": None, "rows": 7, "columns": 4, "rank": 4},
     ]
+
+
+def test_parametric_and_cyclotomic_values_do_not_mix():
+    # generators (1, zeta_12) with the projection t: the solver and the
+    # certificate evaluation refuse the pair instead of treating zeta_12 as
+    # a rational
+    generators = (Rational(1), root_of_unity(12, 1))
+    projections = (ParamRational.t_power(1),)
+    with pytest.raises(BackendMismatchError):
+        MembershipSolver(generators, projections, degree_bound=1)
+    cert = Certificate(
+        product=None,
+        terms=(CertTerm(generator=1, monomial=((0, 1),), coefficient=1),),
+        degree_bound=1,
+    )
+    with pytest.raises(BackendMismatchError):
+        evaluate_certificate(cert, generators, projections)
+    # a rational stored in a cyclotomic field goes with t
+    one = root_of_unity(12, 3) * root_of_unity(12, 9)
+    assert evaluate_certificate(cert, (Rational(1), one), projections) == projections[0]
 
 
 def test_certificate_json_round_trip():

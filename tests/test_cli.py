@@ -432,6 +432,37 @@ def test_verify_garbage_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_rejects_mixed_backends(capsys, tmp_path):
+    # projection 0 becomes the parameter t among cyclotomic values; the
+    # certificates name only projections 1 and 2, yet the file mixes two
+    # backends and is refused
+    obj = example_ring_file(capsys, tmp_path)
+    assert len(obj["projections"]) == 3
+    assert all("0" not in t["monomial"] for c in obj["certificates"] for t in c["terms"])
+    obj["projections"][0] = {"backend": "param", "num": ["0", "1"], "den": ["1"]}
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 2
+    assert "verified" not in stdout and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda obj: [obj], id="top-level-list"),
+        pytest.param(lambda obj: obj["certificates"][0]["terms"][0].update(monomial=[]),
+                     id="monomial-list"),
+        pytest.param(lambda obj: obj["generators"].__setitem__(0, [1]), id="generator-list"),
+    ],
+)
+def test_verify_wrong_json_shape_is_usage_error(capsys, tmp_path, edit):
+    obj = example_ring_file(capsys, tmp_path)
+    obj = edit(obj) or obj
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 2
+    assert "verified" not in stdout
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_non_numeric_field_is_usage_error(capsys, tmp_path):
     obj = example_ring_file(capsys, tmp_path)
     obj["certificates"][0]["terms"][0]["coefficient"] = []

@@ -81,6 +81,9 @@ def test_initial_generation():
     assert len(g) == 2
     assert Rational(0) in g and Rational(1) in g
     assert Rational(Fraction(1, 2)) not in g
+    # plain numbers are scalars too
+    assert 1 in g and 0 in g
+    assert Fraction(1, 2) not in g and Fraction(1) in g
 
 
 def test_generation_set_dedup_and_order():
@@ -178,7 +181,7 @@ def test_step_matches_oracle_step():
         (mixed, 2),
         (AngleSet([ua(1, 0), ua(20, 1), ua(24, 1)]), 3),  # order 120
         (AngleSet([ua(1, 0), ua(10, 1), ua(6, 1)]), 3),  # order 30
-        (param_angles(), 1),
+        (param_angles(), 2),  # 88 points
     ]
     for angles, depth in cases:
         fast = slow = initial_generation()
@@ -194,7 +197,7 @@ def test_step_matches_oracle_step():
     assert len(fast) == 32
     assert _point_records(fast) == _point_records(slow)
     # a cap overflow truncates both at the same point
-    for angles, cap in ((example_angles(), 30), (mixed, 60)):
+    for angles, cap in ((example_angles(), 30), (mixed, 60), (param_angles(), 40)):
         s1 = step(initial_generation(), angles)
         with pytest.raises(CapExceededError) as fast_err:
             step(s1, angles, max_points=cap)
@@ -224,20 +227,26 @@ def test_numeric_step_keys_only_new_points(monkeypatch):
 
 
 def test_step_logs_counts(caplog):
-    # hand counts for the example set: distinct line offsets |U| + |V| summed
-    # over the six direction pairs, the |U|*|V| candidates, the new points
+    # hand counts: distinct line offsets |U| + |V| summed over the six
+    # direction pairs, the |U|*|V| candidates, the new points; a parametric
+    # set has no cyclotomic order
     caplog.set_level(logging.DEBUG, logger="origami_rings.construction")
-    closure_to_depth(ConstructionConfig(example_angles(), max_depth=2))
-    stats = [r.args for r in caplog.records if r.name == "origami_rings.construction"]
-    assert len(stats) == 2
-    expected = [(1, 21, 18, 6), (2, 57, 132, 76)]
-    for st, (depth, offsets, candidates, new) in zip(stats, expected):
-        assert st["depth"] == depth and st["order"] == 12
-        assert len(st["offsets"]) == 6
-        assert sum(nu + nv for nu, nv in st["offsets"]) == offsets
-        assert st["candidates"] == candidates
-        assert st["new_points"] == new
-        assert st["seconds"] >= 0
+    cases = [
+        (example_angles(), 12, [(1, 21, 18, 6), (2, 57, 132, 76)]),
+        (param_angles(), None, [(1, 21, 18, 6), (2, 57, 132, 80)]),
+    ]
+    for angles, order, expected in cases:
+        caplog.clear()
+        closure_to_depth(ConstructionConfig(angles, max_depth=2))
+        stats = [r.args for r in caplog.records if r.name == "origami_rings.construction"]
+        assert len(stats) == 2
+        for st, (depth, offsets, candidates, new) in zip(stats, expected):
+            assert st["depth"] == depth and st["order"] == order
+            assert len(st["offsets"]) == 6
+            assert sum(nu + nv for nu, nv in st["offsets"]) == offsets
+            assert st["candidates"] == candidates
+            assert st["new_points"] == new
+            assert st["seconds"] >= 0
 
 
 # --- elementary monomials -------------------------------------------------------
