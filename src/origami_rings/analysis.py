@@ -261,7 +261,8 @@ class MembershipSolver:
     matrix is diagonalized once; a target is mapped to rows the same way, or
     rejected when it lies outside.  Construction logs one DEBUG record to the
     ``origami_rings.analysis`` logger, whose args dict holds the order N
-    (None for parametric columns) and the matrix's rows, columns and rank.
+    (None for parametric columns), the matrix's rows, columns and rank, and
+    the diagonalization's logged column operations and pivot passes.
     """
 
     def __init__(self, generators, projections, degree_bound: int):
@@ -295,10 +296,13 @@ class MembershipSolver:
                 "rows": self._width,
                 "columns": len(cols),
                 "rank": self._solver.rank,
+                "column_ops": self._solver.column_ops,
+                "passes": self._solver.passes,
             }
             log.debug(
                 "membership solver: order %(order)s, %(rows)d x %(columns)d "
-                "coordinate matrix, rank %(rank)d",
+                "coordinate matrix, rank %(rank)d, %(column_ops)d column "
+                "operations in %(passes)d pivot passes",
                 stats,
             )
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from mpmath.libmp import mpi_add, mpi_mul
 
 from . import _polys
-from .errors import NonInvertibleError
+from .errors import BackendMismatchError, NonInvertibleError
 from .intervals import (
     ZERO,
     ComplexInterval,
@@ -446,9 +446,14 @@ class AmbientField:
 
     def vector(self, x) -> tuple[list[int], int] | None:
         """Numerators and denominator of a rational scalar or a
-        CyclotomicElement in this field, or None when the value lies outside."""
+        CyclotomicElement in this field, or None when the value lies outside.
+        A non-rational value of another backend raises BackendMismatchError."""
         n = self.order
         if not isinstance(x, CyclotomicElement):
+            if not x.is_rational():
+                raise BackendMismatchError(
+                    f"cannot combine CyclotomicElement with {type(x).__name__}"
+                )
             v = x.as_fraction()
             return [v.numerator] + [0] * (self.degree - 1), v.denominator
         if x.order == n:

@@ -197,6 +197,13 @@ class ParamRational(ExactScalar):
             raise ValueError("value is not rational")
         return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
 
+    def __hash__(self):
+        # equal values share the canonical (N, D); rationals hash like their
+        # Fraction, as for every scalar
+        if self.is_rational():
+            return hash(self.as_fraction())
+        return hash((self._n, self._d))
+
     def canonical_key(self):
         if self.is_rational():
             return b"Q:%s" % str(self.as_fraction()).encode()

@@ -5,9 +5,10 @@ line intersection is re-derived from a 2x2 real linear solve, the closure
 step from one intersect call per ordered point pair, elementary monomials
 and projections from one intersect call per value, quadratic
 integrality from expanding (X - x)(X - conj(x)), lattice comparison from
-brute-force enumeration of truncated lattices.  The integer solve multiplies
-out the dense V*y, and the rational row solver scales rows of Fractions
-(`OracleRationalRowSolver`).  Membership rebuilds the solver's columns as
+brute-force enumeration of truncated lattices.  Diagonalization forms the
+dense V and applies every column operation to it (`oracle_diagonalize`); the
+integer solve multiplies out the dense V*y from it, and the rational row
+solver scales rows of Fractions (`OracleRationalRowSolver`).  Membership rebuilds the solver's columns as
 scalar products (`membership_columns`) and assembles a fresh Fraction
 coordinate matrix for every target: parametric targets over the target's
 and the columns' denominators, cyclotomic ones at the lcm of the target's
@@ -49,7 +50,7 @@ from origami_rings import (
 )
 from origami_rings.analysis import Certificate, CertTerm
 from origami_rings.density import DensityWitness
-from origami_rings.diophantine import LinearSolver, diagonalize
+from origami_rings.diophantine import LinearSolver
 from origami_rings.intervals import interval_context
 
 # -- polynomials over Q ---------------------------------------------------------
@@ -504,12 +505,70 @@ def oracle_step(gen, angles, max_points=250_000):
     return GenerationSet(gen.depth + 1, found.values())
 
 
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def oracle_diagonalize(matrix):
+    """(U, D, V) with U*A*V = D, V formed as a dense c x c matrix and every
+    column operation applied to all of its rows, one scalar loop per column:
+    the reference the logged reduction is checked against."""
+    a = [[int(v) for v in row] for row in matrix]
+    r = len(a)
+    c = len(a[0]) if r else 0
+    u = _identity(r)
+    v = _identity(c)
+    k = 0
+    while k < min(r, c):
+        # smallest nonzero entry of the trailing submatrix becomes the pivot
+        pivot = None
+        for i in range(k, r):
+            for j in range(k, c):
+                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+            u[k], u[pi] = u[pi], u[k]
+        if pj != k:
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            for row in v:
+                row[k], row[pj] = row[pj], row[k]
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+            u[k] = [-x for x in u[k]]
+        p = a[k][k]
+        dirty = False
+        for i in range(k + 1, r):
+            if a[i][k]:
+                q = a[i][k] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+                dirty = dirty or a[i][k] != 0
+        for j in range(k + 1, c):
+            if a[k][j]:
+                q = a[k][j] // p
+                for row in a:
+                    row[j] -= q * row[k]
+                for row in v:
+                    row[j] -= q * row[k]
+                dirty = dirty or a[k][j] != 0
+        if dirty:
+            continue  # remainders became new, smaller candidates
+        k += 1
+    return u, a, v
+
+
 def oracle_linear_solve(matrix, b):
     """Integer solution of matrix * x = b as the full product V*y, with
-    y_i = (U*b)_i / d_i from the diagonalization U*A*V = D; None if none."""
+    y_i = (U*b)_i / d_i from the oracle diagonalization U*A*V = D; None if
+    none."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    u, d, v = diagonalize(matrix)
+    u, d, v = oracle_diagonalize(matrix)
     diag = [d[i][i] for i in range(min(rows, cols))]
     ub = [sum(uij * int(bj) for uij, bj in zip(row, b)) for row in u]
     y = [0] * cols

@@ -584,7 +584,10 @@ def test_membership_solver_logs_its_shape(caplog):
     # projection zeta_5 + 1/zeta_5 lies in Q(zeta_60) only.  Parametric
     # columns have no order; their rows are the coefficients of t^k over the
     # common denominator: 40 columns (10 monomials of degree <= 2 in 3
-    # projections times 4 generators) in 31 rows at degree 2
+    # projections times 4 generators) in 31 rows at degree 2.  The columns
+    # of (1, zeta_12) at degree 0 are the unit vectors e_0 and e_1, so the
+    # diagonalization logs no column operation and makes one pivot pass per
+    # column; a rank below min(rows, columns) ends on one more, empty search
     caplog.set_level(logging.DEBUG, logger="origami_rings.analysis")
     check_ring(example_angles(), degree_bound=3)
     check_ring(parse_angle_list("0,pi*1/5,pi*1/4,pi*1/3")[0], degree_bound=3)
@@ -597,13 +600,13 @@ def test_membership_solver_logs_its_shape(caplog):
     check_ring(param_angles(), degree_bound=0)
     stats = [r.args for r in caplog.records if r.name == "origami_rings.analysis"]
     assert stats == [
-        {"order": 12, "rows": 4, "columns": 80, "rank": 2},
-        {"order": 120, "rows": 32, "columns": 80, "rank": 16},
-        {"order": 12, "rows": 4, "columns": 4, "rank": 2},
-        {"order": 12, "rows": 4, "columns": 2, "rank": 2},
-        {"order": 60, "rows": 16, "columns": 4, "rank": 4},
-        {"order": None, "rows": 31, "columns": 40, "rank": 16},
-        {"order": None, "rows": 7, "columns": 4, "rank": 4},
+        {"order": 12, "rows": 4, "columns": 80, "rank": 2, "column_ops": 248, "passes": 9},
+        {"order": 120, "rows": 32, "columns": 80, "rank": 16, "column_ops": 2930, "passes": 83},
+        {"order": 12, "rows": 4, "columns": 4, "rank": 2, "column_ops": 8, "passes": 4},
+        {"order": 12, "rows": 4, "columns": 2, "rank": 2, "column_ops": 0, "passes": 2},
+        {"order": 60, "rows": 16, "columns": 4, "rank": 4, "column_ops": 2, "passes": 4},
+        {"order": None, "rows": 31, "columns": 40, "rank": 16, "column_ops": 206, "passes": 17},
+        {"order": None, "rows": 7, "columns": 4, "rank": 4, "column_ops": 5, "passes": 4},
     ]
 
 
@@ -625,6 +628,16 @@ def test_parametric_and_cyclotomic_values_do_not_mix():
     # a rational stored in a cyclotomic field goes with t
     one = root_of_unity(12, 3) * root_of_unity(12, 9)
     assert evaluate_certificate(cert, (Rational(1), one), projections) == projections[0]
+
+
+def test_solver_target_of_the_other_backend_is_a_mismatch():
+    # a numeric solver asked about t and a parametric solver asked about
+    # zeta_12 both refuse the target as a backend mismatch
+    t, zeta = ParamRational.t_power(1), root_of_unity(12, 1)
+    with pytest.raises(BackendMismatchError):
+        MembershipSolver([1, zeta], [], 0).solve(t)
+    with pytest.raises(BackendMismatchError):
+        MembershipSolver([1, t], [], 0).solve(zeta)
 
 
 def test_certificate_json_round_trip():

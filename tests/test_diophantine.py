@@ -7,9 +7,12 @@ from itertools import product
 
 import pytest
 
+from origami_rings import diophantine
+from origami_rings.analysis import check_ring
+from origami_rings.anglespec import parse_angle_list
 from origami_rings.diophantine import LinearSolver, RationalRowSolver, diagonalize
 
-from helpers import OracleRationalRowSolver, oracle_linear_solve
+from helpers import OracleRationalRowSolver, oracle_diagonalize, oracle_linear_solve
 
 
 def mat_mul(a, b):
@@ -245,3 +248,63 @@ def test_back_substitution_rejects_unsolvable_targets():
     b[0] += 1
     assert LinearSolver(a).solve(b) is None
     assert oracle_linear_solve(a, b) is None
+
+
+def assert_matches_oracle(a):
+    """diagonalize returns the oracle's U, D and V, and LinearSolver keeps
+    U, the nonzero diagonal and exactly the nonzero entries (j, V[j][i]) of
+    the oracle's pivot columns."""
+    u, d, v = oracle_diagonalize(a)
+    assert diagonalize(a) == (u, d, v)
+    s = LinearSolver(a)
+    assert s.u == u
+    pivots = [i for i in range(min(len(d), len(v))) if d[i][i]]
+    assert [i for i, _, _ in s._pivots] == pivots
+    for i, di, column in s._pivots:
+        assert di == d[i][i]
+        assert column == [(j, row[i]) for j, row in enumerate(v) if row[i]]
+
+
+def test_diagonalize_matches_oracle_random():
+    rng = random.Random(78)
+    cases = []
+    for _ in range(300):
+        r, c = rng.randint(1, 6), rng.randint(1, 9)
+        cases.append(rand_matrix(rng, r, c, bound=rng.choice((1, 3, 9, 50))))
+    for r, c, rank in [(4, 385, 2), (32, 80, 16), (4, 80, 2), (31, 40, 16), (12, 6, 3)]:
+        cases.append(low_rank_matrix(rng, r, c, rank))
+    for r, c in [(3, 12), (5, 40), (6, 3)]:
+        for _ in range(10):
+            a = low_rank_matrix(rng, r, c, rng.randint(0, min(r, c) - 1))
+            for i in rng.sample(range(r), rng.randint(1, r)):
+                a[i] = [0] * c  # zero rows
+            cases.append(a)
+    cases += [[[0] * 5 for _ in range(3)], [[0, 0, 7]], [[5], [0], [-3]]]
+    for a in cases:
+        assert_matches_oracle(a)
+
+
+@pytest.mark.parametrize(
+    "spec, degree",
+    [
+        ("0,pi*1/6,pi*1/3,pi*1/2", 3),
+        ("0,pi*1/4,pi*1/2,pi*3/4", 3),
+        ("0,pi*1/5,pi*1/4,pi*1/3", 3),
+        ("0,pi*1/6,pi*1/3,pi*1/2,pi*2/3", 2),
+        ("0,param:1,param:2,param:3", 2),
+    ],
+)
+def test_diagonalize_matches_oracle_on_membership_matrices(spec, degree, monkeypatch):
+    # the integer matrices MembershipSolver hands to the kernel in check_ring
+    matrices = []
+
+    class Recording(LinearSolver):
+        def __init__(self, matrix):
+            matrices.append(matrix)
+            super().__init__(matrix)
+
+    monkeypatch.setattr(diophantine, "LinearSolver", Recording)
+    check_ring(parse_angle_list(spec)[0], degree_bound=degree)
+    assert matrices
+    for a in matrices:
+        assert_matches_oracle(a)

@@ -231,3 +231,22 @@ def test_cached_interval_matches_fresh_enclosure(bits, t_arg):
         # the second call reads the cached enclosure of t
         assert x.to_interval(bits, t_arg).endpoint_strings() == fresh
         assert x.to_interval(bits, t_arg).endpoint_strings() == fresh
+
+
+def test_hash_follows_equality(monkeypatch):
+    t = ParamRational.t_power(1)
+    one = ParamRational.from_rational(1)
+    pairs = [
+        ((t * t - one) / (t - one), t + one),  # reduced by the polynomial gcd
+        (ParamRational([Fraction(1, 2), Fraction(1, 2)]), (t + one) / 2),  # content
+        (ParamRational([0, -3], [0, 0, -6]), t.inv() / 2),  # sign and power of t
+        (t.conj().conj(), t),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    # rational values hash like their Fraction, whatever path built them
+    for x, v in [(t / t, 1), (ParamRational([3], [6]), Fraction(1, 2)), (t - t, 0)]:
+        assert x == v and hash(x) == hash(Fraction(v))
+    # a non-rational hash comes from the canonical pair, not the key string
+    monkeypatch.setattr(ParamRational, "canonical_key", None)
+    assert hash(t + one) == hash(one + t)
