@@ -373,6 +373,31 @@ class Unknown:
     verdict = "unknown"
 
 
+def ring_context(angles: AngleSet) -> RingContext:
+    """The generators and projections of a verdict, from the angles alone.
+
+    Three directions give generators (1, x), x = intersect(nu_0, nu_1, 0, 1),
+    and no projections.  Four or more give 1 followed by the values of
+    `nontrivial_monomials`, and P = `projection_set(angles).nontrivial`.  An
+    angle set without the real axis, or with fewer than three directions,
+    raises UnsupportedConfigurationError.
+    """
+    if not angles.contains_one():
+        raise UnsupportedConfigurationError(
+            "the real axis direction must belong to the angle set"
+        )
+    if len(angles) < 3:
+        raise UnsupportedConfigurationError("need at least three directions")
+    if len(angles) == 3:
+        nu = angles.non_unit()
+        x = intersect(nu[0], nu[1], Rational(0), Rational(1))
+        return RingContext(angles=angles, generators=(Rational(1), x), projections=())
+    generators = (Rational(1),) + tuple(m.value for m in nontrivial_monomials(angles))
+    return RingContext(
+        angles=angles, generators=generators, projections=projection_set(angles).nontrivial
+    )
+
+
 def check_ring(angles: AngleSet, degree_bound: int = 3):
     """Decide (three directions) or certify (four or more) ring-ness of the
     closure.
@@ -386,18 +411,9 @@ def check_ring(angles: AngleSet, degree_bound: int = 3):
     certificates.
     """
     _cap_degree(degree_bound)
-    if not angles.contains_one():
-        raise UnsupportedConfigurationError(
-            "the real axis direction must belong to the angle set"
-        )
-    if len(angles) < 3:
-        raise UnsupportedConfigurationError("need at least three directions")
-    nu = angles.non_unit()
+    context = ring_context(angles)
     if len(angles) == 3:
-        x = intersect(nu[0], nu[1], Rational(0), Rational(1))
-        context = RingContext(
-            angles=angles, generators=(Rational(1), x), projections=()
-        )
+        x = context.generators[1]
         pair = quadratic_integer_test(x)
         if pair is None:
             return NotRing(
@@ -414,12 +430,7 @@ def check_ring(angles: AngleSet, degree_bound: int = 3):
             terms.append(CertTerm(generator=0, monomial=(), coefficient=mu))
         cert = Certificate(product=(1, 1), terms=tuple(terms), degree_bound=0)
         return Ring(context=context, certificates=(cert,))
-    monomials = nontrivial_monomials(angles)
-    generators = (Rational(1),) + tuple(m.value for m in monomials)
-    projections = projection_set(angles).nontrivial
-    context = RingContext(
-        angles=angles, generators=generators, projections=projections
-    )
+    generators, projections = context.generators, context.projections
     solver = MembershipSolver(generators, projections, degree_bound)
     certificates = []
     unresolved = []

@@ -11,6 +11,7 @@ a timestamp.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from . import __version__
 from .analysis import (
     certificate_from_obj,
     check_ring,
+    ring_context,
     same_lattice,
     verdict_to_obj,
     verify_certificate,
@@ -41,6 +43,7 @@ from .errors import (
 )
 from .export import generations_to_csv, generations_to_obj, points_to_svg
 from .geometry import intersect
+from .ratfunc import bulk_field
 from .scalars import Rational, scalar_from_obj
 
 
@@ -189,6 +192,15 @@ def _declared_scalar(value):
     return scalar_from_obj(value)
 
 
+def _spec_angles(obj):
+    """The angle set of a verdict file's meta.config.angles; a missing or
+    unparsable list raises (exit 2)."""
+    spec = obj["meta"]["config"]["angles"]
+    if not isinstance(spec, str):
+        raise ValueError(f"meta.config.angles is not an angle list: {spec!r}")
+    return parse_angle_list(spec)[0]
+
+
 def cmd_verify(args) -> int:
     with (sys.stdin if args.path == "-" else open(args.path)) as fh:
         obj = json.load(fh)
@@ -196,8 +208,17 @@ def cmd_verify(args) -> int:
         raise ValueError("a verdict file holds one JSON object")
     verdict = obj.get("verdict")
     if verdict == "ring":
-        generators = [scalar_from_obj(g) for g in obj["generators"]]
-        projections = [scalar_from_obj(p) for p in obj["projections"]]
+        context = ring_context(_spec_angles(obj))
+        generators, projections = context.generators, context.projections
+        stored = {
+            name: [scalar_from_obj(v) for v in obj[name]] for name in ("generators", "projections")
+        }
+        # a parametric value among cyclotomic ones is malformed (exit 2)
+        bulk_field([*generators, *projections, *stored["generators"], *stored["projections"]])
+        for name, rebuilt in (("generators", generators), ("projections", projections)):
+            if stored[name] != list(rebuilt):
+                print(f"stored {name} differ from those rebuilt from the angles", file=sys.stderr)
+                return 3
         certs = [certificate_from_obj(c) for c in obj.get("certificates", [])]
         if not certs:
             print("error: ring verdict without certificates", file=sys.stderr)
@@ -217,10 +238,7 @@ def cmd_verify(args) -> int:
         print(f"verified: {len(certs)} certificates re-evaluate exactly")
         return 0
     if verdict == "not_ring":
-        spec = obj["meta"]["config"]["angles"]
-        if not isinstance(spec, str):
-            raise ValueError(f"meta.config.angles is not an angle list: {spec!r}")
-        angle_set = parse_angle_list(spec)[0]
+        angle_set = _spec_angles(obj)
         nu = angle_set.non_unit()
         witness = scalar_from_obj(obj["witness"])
         if len(angle_set) != 3 or len(nu) != 2 or witness != intersect(nu[0], nu[1], 0, 1):
@@ -293,7 +311,11 @@ def _add_common(sub, angles_required=True):
     sub.add_argument("--out", help="output path (default stdout)")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    since every parse fills a fresh namespace and argparse looks up
+    sys.stdout and sys.stderr when it writes."""
     parser = argparse.ArgumentParser(
         prog="origami-rings",
         description="exact intersection closures, their rings, and approximations",

@@ -5,8 +5,9 @@ lines drawn through existing points with directions from the angle set.
 Since a point p is the intersection of two lines through p itself, each
 generation contains the previous one.  Alongside the raw closure live the
 elementary monomials (intersections seeded at 0 and 1), their products, and
-their real-axis projections.  A step runs on the vectors of one bulk field
-(`ratfunc.bulk_field`), for numeric and parametric sets alike.
+their real-axis projections.  A step and the projection set run on the
+vectors of one bulk field (`ratfunc.bulk_field`), for numeric and
+parametric sets alike.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import sub
 
 from .cyclotomic import field_order
 from .errors import CapExceededError
-from .geometry import AngleSet, UnitAngle, intersect, project_to_real_axis
+from .geometry import AngleSet, UnitAngle
 from .ratfunc import bulk_field
 from .scalars import ExactScalar, Rational, as_scalar
 
@@ -237,42 +238,91 @@ class ProjectionSet:
     family: tuple[ExactScalar, ...] | None
 
 
+def _x_family(x, projections: dict) -> tuple:
+    """The closure of x under inversion, the slide and complements; raises
+    RuntimeError when a projection (by canonical key) lies outside it and
+    outside {0, 1}."""
+    orbit = (x, x.inv(), x * (x - 1).inv())
+    family = orbit + tuple(1 - f for f in orbit)
+    allowed = {f.canonical_key() for f in family}
+    allowed.add(Rational(0).canonical_key())
+    allowed.add(Rational(1).canonical_key())
+    stray = [p for k, p in projections.items() if k not in allowed]
+    if stray:
+        raise RuntimeError(f"projections escape the x-family: {stray!r}")
+    return family
+
+
 def projection_set(angles: AngleSet) -> ProjectionSet:
+    """The projection set, computed on the vectors of one bulk field
+    (`ratfunc.bulk_field`), for numeric and parametric sets alike.
+
+    Each elementary value is a difference of the pair's offset multipliers
+    (y' - x and x - y, as in `elementary_monomials`), and each projection
+    along a non-axis direction is -(w + conj(w)) with w the direction's
+    `slide_multiplier` times the conjugate value, as in
+    `project_to_real_axis`.  All projections sit over one common
+    denominator, so their numerator tuples name them; only the distinct ones
+    become scalars with a canonical key.  Each is stored at the order the
+    scalar formula gives it, the lcm of the orders of its first pair and of
+    the direction.
+    """
     nu = angles.non_unit()
+    field = bulk_field(a.value for a in angles)
+    flat, d = field.vectors(m for triple in angles.offset_multipliers() for m in triple)
+    slides, s = field.vectors(g.slide_multiplier() for g in nu)
+    gamma_orders = [field_order(g.value) for g in nu]
+    zero = (0,) * field.degree
+    # elementary and nontrivial monomial vectors over d, each with the order
+    # of the first pair giving it; by_pair[alpha, beta] = intersect(alpha, beta, 0, 1)
+    elementary, nontrivial, by_pair = {}, {}, {}
+    for k, (a, b) in enumerate(angles.pairs()):
+        x, y, y2 = flat[3 * k : 3 * k + 3]
+        order = math.lcm(field_order(a.value), field_order(b.value))
+        by_pair[a, b] = ab = tuple(map(sub, y2, x))
+        elementary.setdefault(ab, order)
+        elementary.setdefault(tuple(map(sub, x, y)), order)
+        if not (a.is_one() or b.is_one()) and ab != zero and ab != (d,) + zero[1:]:
+            nontrivial.setdefault(ab, order)
+    # projections over d*s: per monomial the vector along each direction, and
+    # per distinct vector its order in `projections` and in `nontrivial`
+    den = d * s
+    one = (den,) + zero[1:]
+    along, table = {}, {}
+    for mono, order in elementary.items():
+        conj = field.conj(mono)
+        along[mono] = row = []
+        for slide, g_order in zip(slides, gamma_orders):
+            w = field.mul(slide, conj)
+            v = tuple(-(p + q) for p, q in zip(w, field.conj(w)))
+            row.append(v)
+            if v != zero and v != one:
+                table.setdefault(v, [math.lcm(order, g_order), None])
+    for mono, order in nontrivial.items():
+        for v, g_order in zip(along[mono], gamma_orders):
+            if v != zero and v != one and table[v][1] is None:
+                table[v][1] = math.lcm(order, g_order)
     all_proj = {Rational(0).canonical_key(): Rational(0), Rational(1).canonical_key(): Rational(1)}
-    for e in elementary_monomials(angles):
-        for gamma in nu:
-            v = project_to_real_axis(e.value, gamma)
-            all_proj.setdefault(v.canonical_key(), v)
-    nontrivial = {}
-    for e in nontrivial_monomials(angles):
-        for gamma in nu:
-            v = project_to_real_axis(e.value, gamma)
-            if v == 0 or v == 1:
-                continue
-            nontrivial.setdefault(v.canonical_key(), v)
-    x = None
-    family = None
+    nontrivial_proj = {}
+    for v, (order, nt_order) in table.items():
+        value = field.element(v, den, order)
+        key = value.canonical_key()
+        all_proj[key] = value
+        if nt_order is not None:
+            nontrivial_proj[key] = value if nt_order == order else field.element(v, den, nt_order)
+    x = family = None
     if len(nu) == 3 and angles.contains_one():
         u, v_mid, w = nu
-        z1 = intersect(u, w, Rational(0), Rational(1))
-        cand = project_to_real_axis(z1, v_mid)
-        if cand != 0 and cand != 1:
-            x = cand
-            orbit = (x, x.inv(), x * (x - 1).inv())
-            family = orbit + tuple(1 - f for f in orbit)
-            allowed = {f.canonical_key() for f in family}
-            allowed.add(Rational(0).canonical_key())
-            allowed.add(Rational(1).canonical_key())
-            stray = [p for k, p in all_proj.items() if k not in allowed]
-            if stray:
-                raise RuntimeError(
-                    f"projections escape the x-family: {stray!r}"
-                )
-    order = lambda d: tuple(d[k] for k in sorted(d))
+        cand = along[by_pair[u, w]][1]
+        if cand != zero and cand != one:
+            x = field.element(
+                cand, den, math.lcm(field_order(u.value), field_order(w.value), gamma_orders[1])
+            )
+            family = _x_family(x, all_proj)
+    by_key = lambda values: tuple(values[k] for k in sorted(values))
     return ProjectionSet(
-        projections=order(all_proj),
-        nontrivial=order(nontrivial),
+        projections=by_key(all_proj),
+        nontrivial=by_key(nontrivial_proj),
         x=x,
         family=family,
     )

@@ -121,6 +121,27 @@ def _vec_map(num, order: int, mult: int) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _norm_tower(n: int) -> tuple[tuple[int, int], ...]:
+    """Steps (k, m) climbing a chain of subgroups 1 = H_0 < H_1 < ... of
+    (Z/n)^x to the whole group: H_(i+1) = <H_i, k>, m the least exponent with
+    k^m in H_i, and every m prime, so each step multiplies as few conjugates
+    as it can."""
+    units = [k for k in range(1, n) if math.gcd(k, n) == 1]
+    group = {1}
+    steps = []
+    for g in units:
+        while g not in group:
+            m, h = 1, g
+            while h not in group:
+                m, h = m + 1, h * g % n
+            p = _prime_divisors(m)[0]
+            k = pow(g, m // p, n)  # k^p is the first power of k in the group
+            steps.append((k, p))
+            group = {h * pow(k, j, n) % n for h in group for j in range(p)}
+    return tuple(steps)
+
+
 def _normalize(num, den: int):
     """Integer numerators over a positive denominator, in lowest terms."""
     g = math.gcd(den, *num)
@@ -298,18 +319,17 @@ class CyclotomicElement(ExactScalar):
         n = self.order
         if self.is_rational():
             return CyclotomicElement.from_rational(1 / self.as_fraction(), n)
-        # self times the product of its other Galois conjugates is the
-        # rational norm N(self), so that product over N(self) is the inverse
-        others = None
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                c = self.galois(k)
-                others = c if others is None else others._mul_same(c)
-        norm = self._mul_same(others)
-        assert norm.is_rational()
-        return CyclotomicElement._make(
-            n, [c * norm._den for c in others._num], others._den * norm._num[0]
-        )
+        # down a tower of fixed fields: y = num * cofactor is fixed by H, and
+        # multiplying by its conjugates under k, ..., k^(m-1) makes it the
+        # relative norm, fixed by <H, k>; at the top y = N(num) is rational
+        y, cofactor = self._num, None
+        for k, m in _norm_tower(n):
+            c = _vec_map(y, n, k)
+            for j in range(2, m):
+                c = _vec_mul(n, c, _vec_map(y, n, pow(k, j, n)))
+            y = _vec_mul(n, y, c)
+            cofactor = c if cofactor is None else _vec_mul(n, cofactor, c)
+        return CyclotomicElement._make(n, [c * self._den for c in cofactor], y[0])
 
     # -- field structure ------------------------------------------------------
 

@@ -16,7 +16,9 @@ and the columns' orders.  Certificates are evaluated on scalars, term by term
 (`oracle_evaluate_certificate`).  Density witnesses take their exponents
 from a scan n = 0, 1, 2, ... (`oracle_least_exponent`) and their ceilings
 from a climb by units from a 64-bit lower bound (`oracle_ceil`),
-`oracle_witness` puts them together.  Cyclotomic reduction is a Fraction polynomial division by Phi_n
+`oracle_witness` puts them together from the oracle projection set and
+monomials.  The cyclotomic inverse multiplies all other Galois conjugates
+(`oracle_inv`).  Cyclotomic reduction is a Fraction polynomial division by Phi_n
 (`oracle_reduce`).  Parametric arithmetic is redone over Q with a Fraction
 polynomial Euclid on every operation (`oracle_param_*`).  Interval
 enclosures are redone with mpmath's ivmpf operators (`OracleInterval`),
@@ -42,8 +44,6 @@ from origami_rings import (
     euler_phi,
     find_scaling_projection,
     intersect,
-    nontrivial_monomials,
-    projection_set,
     real_imag_parts,
     real_sign,
     root_of_unity,
@@ -393,6 +393,21 @@ UNIT_ORDERS = [3, 4, 6, 8, 12]
 POINT_ORDERS = [1, 3, 4, 6, 8, 12]
 
 
+def oracle_inv(x):
+    """Inverse of a scalar.  For a non-rational CyclotomicElement it is the
+    product of all its other Galois conjugates over the rational norm N(x),
+    which is x times that product; any other scalar inverts through `inv`."""
+    if not isinstance(x, CyclotomicElement) or x.is_rational():
+        return x.inv()
+    n = x.order
+    others = None
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            c = x.galois(k)
+            others = c if others is None else others * c
+    return others * Rational(1 / (x * others).as_fraction())
+
+
 def random_fraction(rng, num_bound=9, den_bound=5):
     return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
 
@@ -732,7 +747,7 @@ def oracle_projection_set(angles):
         cand = oracle_project_to_real_axis(intersect(u, w, Rational(0), Rational(1)), v_mid)
         if cand != 0 and cand != 1:
             x = cand
-            orbit = (x, x.inv(), x * (x - 1).inv())
+            orbit = (x, oracle_inv(x), x * oracle_inv(x - 1))
             family = orbit + tuple(1 - f for f in orbit)
     order = lambda d: tuple(d[k] for k in sorted(d))
     return ProjectionSet(
@@ -778,18 +793,18 @@ def oracle_witness(target_re, target_im, epsilon, angles):
     """The witness a*p**N1 + b*p**N2*z with the least exponents, from the
     scans and the unit-climb ceilings above."""
     target_re, target_im, epsilon = Fraction(target_re), Fraction(target_im), Fraction(epsilon)
-    p = find_scaling_projection(projection_set(angles))
+    p = find_scaling_projection(oracle_projection_set(angles))
     z = min(
-        (m.value for m in nontrivial_monomials(angles) if not m.value.is_real()),
+        (m.value for m in oracle_nontrivial_monomials(angles) if not m.value.is_real()),
         key=lambda v: v.canonical_key(),
     )
     re_z, im_z = real_imag_parts(z)
     abs_im = im_z if real_sign(im_z) > 0 else -im_z
     half = epsilon / 2
     n2 = oracle_least_exponent(p, abs_im, half)
-    b = oracle_ceil(target_im * (im_z * p**n2).inv())
+    b = oracle_ceil(target_im * oracle_inv(im_z * p**n2))
     n1 = oracle_least_exponent(p, Rational(1), half)
-    a = oracle_ceil((target_re - b * p**n2 * re_z) * (p**n1).inv())
+    a = oracle_ceil((target_re - b * p**n2 * re_z) * oracle_inv(p**n1))
     value = a * p**n1 + b * p**n2 * z
     return DensityWitness(
         target_re=target_re, target_im=target_im, epsilon=epsilon, p=p, z=z,

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from origami_rings import analysis
+from origami_rings import analysis, cli
 from origami_rings.cli import run
 
 EXAMPLE = "0,pi*1/6,pi*1/3,pi*1/2"
@@ -287,6 +287,57 @@ def test_verify_rejects_out_of_range_product(capsys, tmp_path):
     assert code == 3
 
 
+def _forge_generators(obj):
+    """Generators 1 and 2, no projections, and one certificate (1, 1) = 4*g_0,
+    which holds for those values."""
+    obj["generators"] = [{"backend": "rational", "value": "1"},
+                         {"backend": "rational", "value": "2"}]
+    obj["projections"] = []
+    obj["certificates"] = [{"product": [1, 1], "degree_bound": 0, "terms": [
+        {"generator": 0, "monomial": {}, "coefficient": "4"}]}]
+
+
+def _swap_generators(obj):
+    g = obj["generators"]
+    g[1], g[2] = g[2], g[1]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # {pi/6, pi/2, 5pi/6} is no ring at degree 2 (ROADMAP item 2)
+        pytest.param(lambda obj: obj["meta"]["config"].update(angles="0,pi*1/6,pi*1/2,pi*5/6"),
+                     id="relabelled-angles"),
+        pytest.param(_forge_generators, id="forged-generators"),
+        pytest.param(_swap_generators, id="swapped-generators"),
+        pytest.param(lambda obj: obj["generators"].__setitem__(1, {"backend": "rational", "value": "3"}),
+                     id="altered-generator"),
+        pytest.param(lambda obj: obj["projections"].pop(), id="dropped-projection"),
+        pytest.param(lambda obj: obj["projections"].append({"backend": "rational", "value": "5"}),
+                     id="extra-projection"),
+    ],
+)
+def test_verify_rebuilds_ring_context(capsys, tmp_path, edit):
+    obj = example_ring_file(capsys, tmp_path)
+    edit(obj)
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 3
+    assert "verified" not in stdout
+    assert "rebuilt from the angles" in err
+
+
+def test_verify_ring_without_parsable_angles_is_usage_error(capsys, tmp_path):
+    for angles in (None, "pi*1/x", 6):
+        obj = example_ring_file(capsys, tmp_path)
+        if angles is None:
+            del obj["meta"]["config"]["angles"]
+        else:
+            obj["meta"]["config"]["angles"] = angles
+        code, stdout, err = verify_obj(obj, capsys, tmp_path)
+        assert code == 2
+        assert "verified" not in stdout and err.startswith("error:")
+
+
 def test_not_ring_with_irrational_trace(capsys, tmp_path):
     out = tmp_path / "nr.json"
     code, _, _ = invoke(
@@ -554,3 +605,38 @@ def test_sorted_json_keys(capsys):
     _, stdout, _ = invoke(["projections", "--angles", EXAMPLE], capsys)
     obj = json.loads(stdout)
     assert list(obj.keys()) == sorted(obj.keys())
+
+
+# --- parser reuse ----------------------------------------------------------------
+
+
+def test_parser_reuse_is_stateless(capsys, tmp_path):
+    """One process builds the parser once; each run of a sequence through it
+    gives the exit code, stdout, stderr and --out bytes it gives on a fresh
+    parser."""
+    sequence = [
+        ["density", "--angles", EXAMPLE, "--target=1/3,-1/2", "--epsilon", "1/1000", "--out"],
+        ["density", "--angles", EXAMPLE, "--epsilon", "1/1000"],  # no --target
+        ["--version"],
+        ["check-ring", "--angles", EXAMPLE, "--degree-bound", "2", "--out"],
+    ]
+
+    def results(fresh):
+        cli.build_parser.cache_clear()
+        out = []
+        for i, argv in enumerate(sequence):
+            if fresh:
+                cli.build_parser.cache_clear()
+            path = tmp_path / f"{fresh}-{i}.json"
+            argv = argv + [str(path)] if argv[-1] == "--out" else argv
+            code, stdout, err = invoke(argv, capsys)
+            out.append((code, stdout, err, path.read_bytes() if path.exists() else None))
+        return out
+
+    reused = results(fresh=False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert [r[0] for r in reused] == [0, 2, 0, 0]
+    assert "--target" in reused[1][2]
+    assert reused[0][3] and reused[3][3]
+    assert results(fresh=True) == reused
+

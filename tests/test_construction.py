@@ -1,5 +1,7 @@
 """Closure construction, elementary monomials, projections."""
 
+import hashlib
+import json
 import logging
 from fractions import Fraction
 
@@ -23,7 +25,9 @@ from origami_rings import (
     root_of_unity,
     step,
 )
+from origami_rings import construction
 from origami_rings.anglespec import parse_angle_list
+from origami_rings.cli import run
 from helpers import (
     oracle_elementary_monomials,
     oracle_nontrivial_monomials,
@@ -295,8 +299,50 @@ def test_monomials_match_intersect_oracle(spec):
 # --- projections ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", ORACLE_SETS)
-def test_projection_set_matches_intersect_oracle(spec):
+# (angles, command) -> (exit code, sha256 of the JSON body without meta, as
+# the CLI indents it) for every certify- and density-pool set of
+# perfbench/jobs.py, recorded on the scalar projection set, before it ran
+# on bulk-field vectors
+POOL_BYTES = {
+    ('0,param:1,param:2,param:3', 'elementary'): (0, '5081ccb105dbc89b9072ada4652456c9e6f5e61ba8805e747e231c287e9163ee'),
+    ('0,param:1,param:2,param:3', 'projections'): (0, '124bda1bc710f95b987ed417a63d6cfce09970807175165dbf8896ff8c167672'),
+    ('0,pi*1/10,pi*1/4,pi*1/2', 'elementary'): (0, 'c259d2971199dd361c5880322101a8ba290846b2849aa7da7f6f57fef7bdd6a0'),
+    ('0,pi*1/10,pi*1/4,pi*1/2', 'projections'): (0, '6f2d9be7eb60fa98c0c31249d0899810c70a2d628c9bf28e66c0698ad8c7ac8d'),
+    ('0,pi*1/12,pi*1/6,pi*1/4', 'elementary'): (0, '6ee06cd285cc2ed85b03efe07e9e753cd5fda47ecbb95bbe7333056a681d1418'),
+    ('0,pi*1/12,pi*1/6,pi*1/4', 'projections'): (0, 'd42c5567e2972c52e8fd2211e43afb3d17bf8bfe3111b30ad78c31102f3bd5d9'),
+    ('0,pi*1/3,pi*1/2', 'elementary'): (0, '350c778f5f1fcf0e24be558523201341022d3bec8d4989536c3279694ce4a0f4'),
+    ('0,pi*1/3,pi*1/2', 'projections'): (0, '081a7f14d3f901d77d2ca2925a6b7dd90cdf282560197005d5ec2de3da53ed2c'),
+    ('0,pi*1/3,pi*2/3', 'elementary'): (0, 'cf1229d8dc17f5f420c48b638df24a7db92b30c2ddbe8ce945e533dac559af46'),
+    ('0,pi*1/3,pi*2/3', 'projections'): (0, '081a7f14d3f901d77d2ca2925a6b7dd90cdf282560197005d5ec2de3da53ed2c'),
+    ('0,pi*1/4,pi*1/2', 'elementary'): (0, '23b0d2211aa98a3b68d7a4b439560503c0632efd39d7bd032470423cac4b0d8a'),
+    ('0,pi*1/4,pi*1/2', 'projections'): (0, '081a7f14d3f901d77d2ca2925a6b7dd90cdf282560197005d5ec2de3da53ed2c'),
+    ('0,pi*1/4,pi*1/2,pi*3/4', 'elementary'): (0, 'afc4ac19736271cb294cddf4eef2c776329d4d2c25f86439dd679122081274f6'),
+    ('0,pi*1/4,pi*1/2,pi*3/4', 'projections'): (0, '570a52ca63f441efea9f9d01e4c590c1d3b6c077cf5ac4286326c5c96225e758'),
+    ('0,pi*1/4,pi*1/3,pi*1/2', 'elementary'): (0, '7a44e0070770438c0b0f77cf590f4bda548cf503d0a65dfc4fd3e53c13df0cb3'),
+    ('0,pi*1/4,pi*1/3,pi*1/2', 'projections'): (0, '94b279766ade03073d6ff7882fd23e39590b094c592cddc566ca9dd110816c10'),
+    ('0,pi*1/5,pi*1/4,pi*1/3', 'elementary'): (0, '27cfde36f33fb82e4f1abfc0cbdd95da93728f69b121d8c8e3f4a920077ff0b9'),
+    ('0,pi*1/5,pi*1/4,pi*1/3', 'projections'): (0, 'bf7ebe17004ce9e2517558c1fe9aa87eafa066e4aebcaf312339b29bc34e19c3'),
+    ('0,pi*1/6,pi*1/2', 'elementary'): (0, 'bf6986d5da36d0bcac1ed0a15cbdd2e8830689f7cac854cd347fcd6068351003'),
+    ('0,pi*1/6,pi*1/2', 'projections'): (0, '081a7f14d3f901d77d2ca2925a6b7dd90cdf282560197005d5ec2de3da53ed2c'),
+    ('0,pi*1/6,pi*1/2,pi*5/6', 'elementary'): (0, '778bf67b153d2618b7add0c513beefd7eca726f6c693e88408d5746289042ce6'),
+    ('0,pi*1/6,pi*1/2,pi*5/6', 'projections'): (0, '570a52ca63f441efea9f9d01e4c590c1d3b6c077cf5ac4286326c5c96225e758'),
+    ('0,pi*1/6,pi*1/3', 'elementary'): (0, '643423630db40a29a40f409a0679b53e60cd68fe5a86468188e9424d6d25b91f'),
+    ('0,pi*1/6,pi*1/3', 'projections'): (0, '081a7f14d3f901d77d2ca2925a6b7dd90cdf282560197005d5ec2de3da53ed2c'),
+    ('0,pi*1/6,pi*1/3,pi*1/2', 'elementary'): (0, '157352d4020a8367f143537336a98c34864aaedf0370be9572444e19d5ed6f04'),
+    ('0,pi*1/6,pi*1/3,pi*1/2', 'projections'): (0, 'f16558339059211e9ef358d99780c8f9d9e38ad46a2572644eca4fd2111d02af'),
+    ('0,pi*1/6,pi*1/3,pi*1/2,pi*2/3', 'elementary'): (0, 'b9d7878f44f32e70901a5000f5394fcc086cc603679c361102ac66065672e370'),
+    ('0,pi*1/6,pi*1/3,pi*1/2,pi*2/3', 'projections'): (0, '6f3fc92e5fa9d29e065614960bc1fd55188cc70c661449b81fd1ccbee07b8e8a'),
+}
+POOL_SETS = sorted({spec for spec, _ in POOL_BYTES} - set(ORACLE_SETS))
+
+
+# a set with a nontrivial projection stored at another order than in
+# `projections`, where another monomial or direction meets it first
+MIXED_ORDERS = "0,pi*1/10,pi*1/5,pi*3/5,pi*4/5"
+
+
+@pytest.mark.parametrize("spec", ORACLE_SETS + POOL_SETS + [MIXED_ORDERS])
+def test_projection_set_matches_intersect_oracle(spec, capsys):
     angles = parse_angle_list(spec)[0]
     got, want = projection_set(angles), oracle_projection_set(angles)
     objs = lambda values: None if values is None else [v.to_obj() for v in values]
@@ -306,6 +352,24 @@ def test_projection_set_matches_intersect_oracle(spec):
     assert (got.x is None) == (want.x is None)
     if got.x is not None:
         assert got.x.to_obj() == want.x.to_obj()
+    for command in ("elementary", "projections"):
+        if (spec, command) in POOL_BYTES:
+            code = run([command, "--angles", spec])
+            obj = json.loads(capsys.readouterr().out)
+            obj.pop("meta")
+            body = json.dumps(obj, indent=2, sort_keys=True).encode()
+            assert (code, hashlib.sha256(body).hexdigest()) == POOL_BYTES[spec, command]
+
+
+def test_projection_set_rejects_a_wrong_x(monkeypatch):
+    # the family of x + 1 = 5/3 misses projections of the example set
+    family = construction._x_family
+    monkeypatch.setattr(construction, "_x_family", lambda x, proj: family(x + 1, proj))
+    with pytest.raises(RuntimeError, match="escape the x-family"):
+        projection_set(example_angles())
+    # a parametric set takes the same path
+    with pytest.raises(RuntimeError, match="escape the x-family"):
+        projection_set(parse_angle_list("0,param:1,param:2,param:3")[0])
 
 
 def test_projection_set_example():

@@ -18,6 +18,7 @@ from origami_rings.cyclotomic import cyclotomic_polynomial
 from helpers import (
     mul,
     oracle_cyclotomic_polynomial,
+    oracle_inv,
     oracle_reduce,
     random_cyclo,
     random_fraction,
@@ -64,6 +65,20 @@ def test_inverse_is_conjugate_power():
     assert (z5 * z5.inv()).as_fraction() == 1
     with pytest.raises(NonInvertibleError):
         (z5 - z5).inv()
+
+
+@pytest.mark.parametrize("order", [3, 5, 7, 8, 9, 11, 12, 15, 20, 21, 24, 40, 60, 120])
+def test_inv_matches_conjugate_product_oracle(order):
+    # odd cyclic factors (7, 9, 11, 21) give norm-tower steps of index 3 and 5
+    rng = random.Random(order)
+    checked = 0
+    while checked < 4:
+        x = random_cyclo(rng, order) * rng.choice([1, 2, -3, Fraction(5, 7)])
+        if x.is_rational():
+            continue
+        got, want = x.inv(), oracle_inv(x)
+        assert (got.order, got._num, got._den) == (want.order, want._num, want._den)
+        checked += 1
 
 
 def _folded(order, exponent_coeffs):
