@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -374,13 +375,13 @@ class Unknown:
 
 
 def ring_context(angles: AngleSet) -> RingContext:
-    """The generators and projections of a verdict, from the angles alone.
-
-    Three directions give generators (1, x), x = intersect(nu_0, nu_1, 0, 1),
-    and no projections.  Four or more give 1 followed by the values of
-    `nontrivial_monomials`, and P = `projection_set(angles).nontrivial`.  An
-    angle set without the real axis, or with fewer than three directions,
-    raises UnsupportedConfigurationError.
+    """The generators and projections of a verdict, from the angles alone:
+    1 followed by the values of `nontrivial_monomials`, and for four or more
+    directions P = `projection_set(angles).nontrivial`.  Three directions
+    give generators (1, x), x = intersect(nu_0, nu_1, 0, 1) the one
+    nontrivial value, and no projections.  An angle set without the real
+    axis, or with fewer than three directions, raises
+    UnsupportedConfigurationError.
     """
     if not angles.contains_one():
         raise UnsupportedConfigurationError(
@@ -388,14 +389,9 @@ def ring_context(angles: AngleSet) -> RingContext:
         )
     if len(angles) < 3:
         raise UnsupportedConfigurationError("need at least three directions")
-    if len(angles) == 3:
-        nu = angles.non_unit()
-        x = intersect(nu[0], nu[1], Rational(0), Rational(1))
-        return RingContext(angles=angles, generators=(Rational(1), x), projections=())
     generators = (Rational(1),) + tuple(m.value for m in nontrivial_monomials(angles))
-    return RingContext(
-        angles=angles, generators=generators, projections=projection_set(angles).nontrivial
-    )
+    projections = projection_set(angles).nontrivial if len(angles) > 3 else ()
+    return RingContext(angles=angles, generators=generators, projections=projections)
 
 
 def check_ring(angles: AngleSet, degree_bound: int = 3):
@@ -474,28 +470,41 @@ def certificate_to_obj(cert: Certificate) -> dict:
     }
 
 
+def _json_int(value, text: bool = False) -> int:
+    """A JSON integer (not a bool or a float) or, when text is set, a string
+    of an optional '-' and decimal digits, as an int; else ValueError."""
+    if type(value) is int:
+        return value
+    if text and isinstance(value, str) and re.fullmatch("-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
 def certificate_from_obj(obj) -> Certificate:
     """Inverse of certificate_to_obj; a certificate, term or monomial that is
-    not a JSON object raises ValueError."""
+    not a JSON object raises ValueError.  So does an id, exponent or degree
+    bound that is not a JSON integer, and a coefficient or projection id (a
+    JSON key) that is neither that nor a string of an optional '-' and
+    decimal digits."""
     if not isinstance(obj, dict) or not all(
         isinstance(t, dict) and isinstance(t.get("monomial"), dict) for t in obj["terms"]
     ):
         raise ValueError("certificate, term or monomial is not a JSON object")
     terms = tuple(
         CertTerm(
-            generator=int(t["generator"]),
-            monomial=tuple(
-                sorted((int(pid), int(exp)) for pid, exp in t["monomial"].items())
-            ),
-            coefficient=int(t["coefficient"]),
+            generator=_json_int(t["generator"]),
+            monomial=tuple(sorted(
+                (_json_int(pid, text=True), _json_int(exp)) for pid, exp in t["monomial"].items()
+            )),
+            coefficient=_json_int(t["coefficient"], text=True),
         )
         for t in obj["terms"]
     )
     product = obj.get("product")
     return Certificate(
-        product=tuple(int(v) for v in product) if product is not None else None,
+        product=tuple(_json_int(v) for v in product) if product is not None else None,
         terms=terms,
-        degree_bound=int(obj.get("degree_bound", 0)),
+        degree_bound=_json_int(obj.get("degree_bound", 0)),
     )
 
 

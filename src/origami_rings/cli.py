@@ -140,9 +140,7 @@ def cmd_elementary(args) -> int:
     angle_set = _angles_arg(args)
     meta = _config_header(args, "elementary")
     ivkw = _interval_args(args, angle_set)
-    nontrivial_keys = {
-        m.value.canonical_key().decode() for m in nontrivial_monomials(angle_set)
-    }
+    nontrivial = {m.value for m in nontrivial_monomials(angle_set)}
     monomials = []
     for m in elementary_monomials(angle_set):
         entry = {
@@ -150,7 +148,7 @@ def cmd_elementary(args) -> int:
             "beta": m.beta.value.to_obj(),
             "value": m.value.to_obj(),
             "canonical_key": m.value.canonical_key().decode(),
-            "nontrivial": m.value.canonical_key().decode() in nontrivial_keys,
+            "nontrivial": m.value in nontrivial,
         }
         if ivkw is not None:
             re_lo, re_hi, im_lo, im_hi = (
@@ -201,6 +199,24 @@ def _spec_angles(obj):
     return parse_angle_list(spec)[0]
 
 
+def _outside_field(objs, angle_set) -> bool:
+    """Whether a stored cyclotomic object's order fails to divide the order
+    of the angles' field, read before the costly build of any object.  An
+    order that is no positive JSON integer raises ValueError, and a
+    cyclotomic object among parametric angles BackendMismatchError."""
+    ambient = bulk_field(a.value for a in angle_set).order
+    for obj in objs:
+        if isinstance(obj, dict) and obj.get("backend") == "cyclotomic":
+            order = obj.get("order")
+            if type(order) is not int or order < 1:
+                raise ValueError(f"cyclotomic order {order!r} is not a positive integer")
+            if ambient is None:
+                raise BackendMismatchError("cyclotomic value among parametric angles")
+            if ambient % order:
+                return True
+    return False
+
+
 def cmd_verify(args) -> int:
     with (sys.stdin if args.path == "-" else open(args.path)) as fh:
         obj = json.load(fh)
@@ -210,6 +226,9 @@ def cmd_verify(args) -> int:
     if verdict == "ring":
         context = ring_context(_spec_angles(obj))
         generators, projections = context.generators, context.projections
+        if _outside_field([*obj["generators"], *obj["projections"]], context.angles):
+            print("stored values lie outside the field rebuilt from the angles", file=sys.stderr)
+            return 3
         stored = {
             name: [scalar_from_obj(v) for v in obj[name]] for name in ("generators", "projections")
         }
@@ -240,14 +259,17 @@ def cmd_verify(args) -> int:
     if verdict == "not_ring":
         angle_set = _spec_angles(obj)
         nu = angle_set.non_unit()
-        witness = scalar_from_obj(obj["witness"])
-        if len(angle_set) != 3 or len(nu) != 2 or witness != intersect(nu[0], nu[1], 0, 1):
+        witness = intersect(nu[0], nu[1], 0, 1) if len(angle_set) == 3 and len(nu) == 2 else None
+        if (witness is None or _outside_field([obj["witness"]], angle_set)
+                or scalar_from_obj(obj["witness"]) != witness):
             print("witness is not the intersection rebuilt from the angles, "
                   "which must be three directions, one the real axis", file=sys.stderr)
             return 3
         trace = witness + witness.conj()
         norm = witness * witness.conj()
-        if (trace, norm) != (_declared_scalar(obj["trace"]), _declared_scalar(obj["norm"])):
+        declared = [obj["trace"], obj["norm"]]
+        if _outside_field(declared, angle_set) or [trace, norm] != list(
+                map(_declared_scalar, declared)):
             print("witness trace/norm mismatch", file=sys.stderr)
             return 3
         if trace.is_integer() and norm.is_integer():

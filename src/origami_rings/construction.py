@@ -191,33 +191,22 @@ class ElementaryMonomial:
 
 def elementary_monomials(angles: AngleSet) -> tuple[ElementaryMonomial, ...]:
     """All intersect(alpha, beta, 0, 1) over ordered direction pairs, deduplicated
-    by value (the first ordered pair producing a value names it).
-
-    Each value is read off the pair's offset multipliers (x, y, y'):
-    intersect(alpha, beta, 0, 1) = U_0 - V_1 = y' - x and
-    intersect(beta, alpha, 0, 1) = U_1 - V_0 = x - y.  The multipliers are
-    formed from the directions alone, so each value is stored at the order
-    the intersect call would give it.
-    """
-    out = {}
-    for (a, b), (x, y, y2) in zip(angles.pairs(), angles.offset_multipliers()):
-        for alpha, beta, v in ((a, b, y2 - x), (b, a, x - y)):
-            out.setdefault(v.canonical_key(), ElementaryMonomial(alpha, beta, v))
-    return tuple(out.values())
+    by value (the first ordered pair producing a value names it), read off
+    the angle set's elementary table (`AngleSet._elementary_table`), each
+    at the order the intersect call would give it."""
+    field, d, elementary, _, _ = angles._elementary_table()
+    return tuple(
+        ElementaryMonomial(a, b, field.element(v, d, o)) for v, (a, b, o) in elementary.items()
+    )
 
 
 def nontrivial_monomials(angles: AngleSet) -> tuple[ElementaryMonomial, ...]:
     """Elementary monomials from non-axis direction pairs in argument order,
-    dropping 0 and 1."""
-    out = {}
-    for (a, b), (x, _, y2) in zip(angles.pairs(), angles.offset_multipliers()):
-        if a.is_one() or b.is_one():
-            continue
-        v = y2 - x
-        if v == 0 or v == 1:
-            continue
-        out.setdefault(v.canonical_key(), ElementaryMonomial(a, b, v))
-    return tuple(out.values())
+    dropping 0 and 1, read off the same table."""
+    field, d, _, nontrivial, _ = angles._elementary_table()
+    return tuple(
+        ElementaryMonomial(a, b, field.element(v, d, o)) for v, (a, b, o) in nontrivial.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -254,42 +243,29 @@ def _x_family(x, projections: dict) -> tuple:
 
 
 def projection_set(angles: AngleSet) -> ProjectionSet:
-    """The projection set, computed on the vectors of one bulk field
-    (`ratfunc.bulk_field`), for numeric and parametric sets alike.
+    """The projection set, computed on the vectors of the angle set's
+    elementary table (`AngleSet._elementary_table`), for numeric and
+    parametric sets alike.
 
-    Each elementary value is a difference of the pair's offset multipliers
-    (y' - x and x - y, as in `elementary_monomials`), and each projection
-    along a non-axis direction is -(w + conj(w)) with w the direction's
-    `slide_multiplier` times the conjugate value, as in
-    `project_to_real_axis`.  All projections sit over one common
+    Each projection along a non-axis direction is -(w + conj(w)) with w the
+    direction's `slide_multiplier` times the conjugate elementary value, as
+    in `project_to_real_axis`.  All projections sit over one common
     denominator, so their numerator tuples name them; only the distinct ones
     become scalars with a canonical key.  Each is stored at the order the
     scalar formula gives it, the lcm of the orders of its first pair and of
     the direction.
     """
     nu = angles.non_unit()
-    field = bulk_field(a.value for a in angles)
-    flat, d = field.vectors(m for triple in angles.offset_multipliers() for m in triple)
+    field, d, elementary, nontrivial, by_pair = angles._elementary_table()
     slides, s = field.vectors(g.slide_multiplier() for g in nu)
     gamma_orders = [field_order(g.value) for g in nu]
     zero = (0,) * field.degree
-    # elementary and nontrivial monomial vectors over d, each with the order
-    # of the first pair giving it; by_pair[alpha, beta] = intersect(alpha, beta, 0, 1)
-    elementary, nontrivial, by_pair = {}, {}, {}
-    for k, (a, b) in enumerate(angles.pairs()):
-        x, y, y2 = flat[3 * k : 3 * k + 3]
-        order = math.lcm(field_order(a.value), field_order(b.value))
-        by_pair[a, b] = ab = tuple(map(sub, y2, x))
-        elementary.setdefault(ab, order)
-        elementary.setdefault(tuple(map(sub, x, y)), order)
-        if not (a.is_one() or b.is_one()) and ab != zero and ab != (d,) + zero[1:]:
-            nontrivial.setdefault(ab, order)
     # projections over d*s: per monomial the vector along each direction, and
     # per distinct vector its order in `projections` and in `nontrivial`
     den = d * s
     one = (den,) + zero[1:]
     along, table = {}, {}
-    for mono, order in elementary.items():
+    for mono, (_, _, order) in elementary.items():
         conj = field.conj(mono)
         along[mono] = row = []
         for slide, g_order in zip(slides, gamma_orders):
@@ -298,7 +274,7 @@ def projection_set(angles: AngleSet) -> ProjectionSet:
             row.append(v)
             if v != zero and v != one:
                 table.setdefault(v, [math.lcm(order, g_order), None])
-    for mono, order in nontrivial.items():
+    for mono, (_, _, order) in nontrivial.items():
         for v, g_order in zip(along[mono], gamma_orders):
             if v != zero and v != one and table[v][1] is None:
                 table[v][1] = math.lcm(order, g_order)
@@ -312,12 +288,11 @@ def projection_set(angles: AngleSet) -> ProjectionSet:
             nontrivial_proj[key] = value if nt_order == order else field.element(v, den, nt_order)
     x = family = None
     if len(nu) == 3 and angles.contains_one():
-        u, v_mid, w = nu
-        cand = along[by_pair[u, w]][1]
+        # directions 1 and 3, after the axis, meet widest; project along 2
+        mono, order = by_pair[1, 3]
+        cand = along[mono][1]
         if cand != zero and cand != one:
-            x = field.element(
-                cand, den, math.lcm(field_order(u.value), field_order(w.value), gamma_orders[1])
-            )
+            x = field.element(cand, den, math.lcm(order, gamma_orders[1]))
             family = _x_family(x, all_proj)
     by_key = lambda values: tuple(values[k] for k in sorted(values))
     return ProjectionSet(

@@ -13,6 +13,9 @@ import io
 from .construction import GenerationSet
 from .ratfunc import ParamRational
 
+# the longer side of an SVG canvas, in pixels
+SVG_SIZE = 800
+
 
 def _first_appearance(gens: list[GenerationSet]):
     """(point, depth) pairs, each point at the first depth containing it."""
@@ -68,10 +71,10 @@ def points_to_svg(
     t_arg=None,
     radius: float = 0.02,
     viewport: tuple[float, float, float, float] = (-3.0, 4.0, -3.0, 3.0),
-    size: int = 800,
     header: dict | None = None,
 ) -> str:
-    """One circle per point, midpoint placement, fixed canvas.
+    """One circle per point, midpoint placement, a canvas whose longer side
+    is SVG_SIZE pixels.
 
     viewport is (re_min, re_max, im_min, im_max) in point coordinates; the
     vertical axis is flipped into screen coordinates.
@@ -79,7 +82,7 @@ def points_to_svg(
     re_min, re_max, im_min, im_max = (float(v) for v in viewport)
     if not (re_max > re_min and im_max > im_min):
         raise ValueError("viewport must have positive extent")
-    scale = size / max(re_max - re_min, im_max - im_min)
+    scale = SVG_SIZE / max(re_max - re_min, im_max - im_min)
     width = (re_max - re_min) * scale
     height = (im_max - im_min) * scale
     lines = [

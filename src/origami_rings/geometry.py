@@ -9,10 +9,14 @@ y*conj(x), which is zero exactly when x and y are parallel over the reals.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from fractions import Fraction
+from operator import sub
 
+from .cyclotomic import field_order
 from .errors import BackendMismatchError, ParallelLinesError
-from .ratfunc import ParamRational
+from .ratfunc import ParamRational, bulk_field
 from .scalars import ExactScalar, Rational, as_scalar, real_compare, refined_sign
 
 
@@ -139,7 +143,7 @@ def angle_arg_compare(a: UnitAngle, b: UnitAngle) -> int:
 class AngleSet:
     """Pairwise-distinct unit directions, sorted by argument."""
 
-    __slots__ = ("angles", "_multipliers")
+    __slots__ = ("angles", "_multipliers", "_table")
 
     def __init__(self, angles):
         wrapped = [a if isinstance(a, UnitAngle) else UnitAngle(a) for a in angles]
@@ -163,6 +167,7 @@ class AngleSet:
             sorted(wrapped, key=functools.cmp_to_key(angle_arg_compare))
         )
         self._multipliers = None
+        self._table = None
 
     def contains_one(self) -> bool:
         return any(a.is_one() for a in self.angles)
@@ -175,10 +180,7 @@ class AngleSet:
 
     def pairs(self):
         """Unordered direction pairs (i < j) in argument order."""
-        n = len(self.angles)
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield self.angles[i], self.angles[j]
+        return itertools.combinations(self.angles, 2)
 
     def offset_multipliers(self) -> tuple[tuple[ExactScalar, ExactScalar, ExactScalar], ...]:
         """Per direction pair, in `pairs` order, the scalars (x, y, y') that
@@ -198,6 +200,35 @@ class AngleSet:
                 out.append((a * b * inv, a.conj() * b * inv, a * b.conj() * inv))
             self._multipliers = tuple(out)
         return self._multipliers
+
+    def _elementary_table(self):
+        """(field, den, elementary, nontrivial, by_pair), computed once per
+        instance: each intersect(alpha, beta, 0, 1) as a numerator tuple over
+        one denominator in one bulk field, read off the pair's
+        `offset_multipliers` as U_0 - V_1 = y' - x (and x - y with the pair
+        swapped).  ``elementary`` maps each value to (alpha, beta, order) of
+        the first ordered pair giving it, ``nontrivial`` the values of
+        non-axis pairs other than 0 and 1 alike, and ``by_pair[i, j]`` is
+        (y' - x, order) for directions i < j; order is lcm(ord alpha,
+        ord beta), at which `intersect` stores the value."""
+        if self._table is None:
+            field = bulk_field(a.value for a in self.angles)
+            flat, den = field.vectors(m for triple in self.offset_multipliers() for m in triple)
+            zero = (0,) * field.degree
+            one = (den,) + zero[1:]
+            elementary, nontrivial, by_pair = {}, {}, {}
+            for k, (i, j) in enumerate(itertools.combinations(range(len(self.angles)), 2)):
+                a, b = self.angles[i], self.angles[j]
+                x, y, y2 = flat[3 * k : 3 * k + 3]
+                order = math.lcm(field_order(a.value), field_order(b.value))
+                ab = tuple(map(sub, y2, x))
+                by_pair[i, j] = ab, order
+                elementary.setdefault(ab, (a, b, order))
+                elementary.setdefault(tuple(map(sub, x, y)), (b, a, order))
+                if not (a.is_one() or b.is_one()) and ab != zero and ab != one:
+                    nontrivial.setdefault(ab, (a, b, order))
+            self._table = field, den, elementary, nontrivial, by_pair
+        return self._table
 
     def __len__(self):
         return len(self.angles)

@@ -22,6 +22,7 @@ from origami_rings import (
     UnsupportedConfigurationError,
     check_ring,
     closure_to_depth,
+    intersect,
     lattice_coordinates,
     nontrivial_monomials,
     projection_set,
@@ -36,6 +37,7 @@ from origami_rings.analysis import (
     certificate_from_obj,
     certificate_to_obj,
     evaluate_certificate,
+    ring_context,
     verdict_to_obj,
 )
 from origami_rings import analysis
@@ -726,6 +728,21 @@ def test_check_ring_unknown_is_honest():
     assert len(verdict.unresolved) >= 1
     # never NotRing for four or more directions
     assert not isinstance(verdict, NotRing)
+
+
+@pytest.mark.parametrize(
+    "spec", ["0,pi*1/3,pi*2/3", "0,pi*1/4,pi*1/2", "0,pi*1/6,pi*1/3", "0,pi*1/3,pi*1/2",
+             "0,pi*1/6,pi*1/2"],
+)
+def test_three_direction_context_is_one_and_the_intersection(spec):
+    # the three-direction sets of the certify pool: the one nontrivial value
+    # is x = intersect(nu_0, nu_1, 0, 1), stored as the intersect call stores it
+    angles = parse_angle_list(spec)[0]
+    nu = angles.non_unit()
+    context = ring_context(angles)
+    x = intersect(nu[0], nu[1], Rational(0), Rational(1))
+    assert [g.to_obj() for g in context.generators] == [Rational(1).to_obj(), x.to_obj()]
+    assert context.projections == ()
 
 
 def test_check_ring_unsupported_configurations():

@@ -522,6 +522,73 @@ def test_verify_non_numeric_field_is_usage_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def _first_term(obj):
+    return obj["certificates"][0]["terms"][0]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda obj: _first_term(obj).update(coefficient=4104.5),
+                     id="float-coefficient"),
+        pytest.param(lambda obj: _first_term(obj).update(coefficient="4_104"),
+                     id="underscored-coefficient"),
+        pytest.param(lambda obj: _first_term(obj).update(generator=3.7), id="float-generator"),
+        pytest.param(lambda obj: _first_term(obj).update(monomial={"1": 2.5}),
+                     id="float-exponent"),
+        pytest.param(lambda obj: obj["certificates"][0].update(degree_bound=2.9),
+                     id="float-degree-bound"),
+        pytest.param(lambda obj: obj["certificates"][0].update(product=[1.2, 1]),
+                     id="float-product"),
+    ],
+)
+def test_verify_rejects_non_integer_numbers(capsys, tmp_path, edit):
+    # each edit truncates to the honest value (coefficient 4104 of generator
+    # 3 times p_1**2, product (1, 1), degree bound 2), so only the number's
+    # type tells the forged file from the honest one
+    obj = example_ring_file(capsys, tmp_path)
+    assert _first_term(obj) == {"generator": 3, "monomial": {"1": 2}, "coefficient": "4104"}
+    assert obj["certificates"][0]["product"] == [1, 1]
+    edit(obj)
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 2
+    assert "verified" not in stdout and err.startswith("error:")
+
+
+HUGE_ORDER = {"backend": "cyclotomic", "order": 100000, "coeffs": ["1"]}
+
+
+def test_verify_refuses_values_outside_the_field_before_building_them(capsys, tmp_path):
+    # building a value of order 100000 (Phi_n and its power table) ran past
+    # 20 s; an order that does not divide the angles' order 12 is refused first
+    obj = example_ring_file(capsys, tmp_path)
+    obj["generators"][1] = HUGE_ORDER
+    start = time.perf_counter()
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "verified" not in stdout and "rebuilt from the angles" in err
+    out = tmp_path / "nr.json"
+    invoke(["check-ring", "--angles", THREE_NOT, "--out", str(out)], capsys)
+    for field in ("witness", "trace", "norm"):
+        obj = json.loads(out.read_text())
+        obj[field] = HUGE_ORDER
+        start = time.perf_counter()
+        code, stdout, err = verify_obj(obj, capsys, tmp_path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "verified" not in stdout
+
+
+def test_verify_stored_order_must_be_a_positive_integer(capsys, tmp_path):
+    for order in ("12", 12.0, 0, True):
+        obj = example_ring_file(capsys, tmp_path)
+        obj["generators"][1]["order"] = order
+        code, stdout, err = verify_obj(obj, capsys, tmp_path)
+        assert code == 2
+        assert "verified" not in stdout and err.startswith("error:")
+
+
 # --- lattice-eq -------------------------------------------------------------------
 
 

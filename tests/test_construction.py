@@ -296,6 +296,25 @@ def test_monomials_match_intersect_oracle(spec):
     )
 
 
+@pytest.mark.parametrize("spec", ORACLE_SETS)
+def test_monomials_compute_no_canonical_key(spec, monkeypatch):
+    # values are deduplicated as numerator tuples of the angle set's
+    # elementary table, so no value needs a key; the angle set is parsed
+    # (and keys its directions) before the count starts
+    angles = parse_angle_list(spec)[0]
+    calls = []
+    for cls in (CyclotomicElement, ParamRational, Rational):
+        key = cls.canonical_key
+
+        def counting(self, key=key):
+            calls.append(self)
+            return key(self)
+
+        monkeypatch.setattr(cls, "canonical_key", counting)
+    assert elementary_monomials(angles) and nontrivial_monomials(angles)
+    assert calls == []
+
+
 # --- projections ----------------------------------------------------------------
 
 

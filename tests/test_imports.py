@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by the module."""
+"""Every module-level import in the package is used by the module, and
+every private function, method and class is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,36 @@ def test_no_unused_imports():
         p.name: unused for p in modules if (unused := unused_imports(p.read_text()))
     }
     assert found == {}
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private (leading underscore, not dunder) functions, methods and
+    classes defined in the modules `sources` (name -> source) whose name no
+    name or attribute in any of them reads."""
+    defined, used = {}, set()
+    for module, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined.setdefault(name, f"{module}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{where}: {name}" for name, where in defined.items() if name not in used]
+
+
+def test_unreferenced_private_names_are_found():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _dead():\n    pass\n\n"
+                "class _Dead:\n    def __init__(self):\n        pass\n\n"
+                "    def _method(self):\n        return _used()\n",
+        "b.py": "from a import x\nx._method()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py:4: _dead", "a.py:7: _Dead"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
