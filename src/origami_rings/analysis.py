@@ -18,7 +18,6 @@ import itertools
 import logging
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .construction import nontrivial_monomials, projection_set
 from .diophantine import RationalRowSolver
@@ -39,38 +38,21 @@ _MAX_CERT_DEGREE = 64
 def quadratic_integer_test(x):
     """(lam, mu) with x*x = lam*x + mu when x is a quadratic integer, else None.
 
-    lam is the trace x + conj(x) and mu the negated norm -x*conj(x); x must
-    not be real (the lattice Z + xZ would degenerate).
+    That is x*x = mu + lam*x in Z + xZ (`lattice_coordinates`), and then lam
+    is the trace x + conj(x) and mu the negated norm -x*conj(x); x must not
+    be real (the lattice Z + xZ would degenerate).
     """
-    x = as_scalar(x)
-    if x.is_real():
-        raise ValueError("x is real; the lattice Z + xZ is degenerate")
-    trace = x + x.conj()
-    norm = x * x.conj()
-    if trace.is_integer() and norm.is_integer():
-        return int(trace.as_fraction()), -int(norm.as_fraction())
-    return None
+    coords = lattice_coordinates(x, as_scalar(x) * x)
+    return None if coords is None else coords[::-1]
 
 
 def same_lattice(x, y) -> bool:
-    """Whether Z + xZ = Z + yZ, via x -+ y in Z on matching imaginary parts.
-
-    Works without an imaginary unit: x - conj(x) compares the imaginary
-    parts, the half-sum of traces compares the real parts.
-    """
+    """Whether Z + xZ = Z + yZ: each generator lies in the other's lattice."""
     x = as_scalar(x)
     y = as_scalar(y)
     if x.is_real() or y.is_real():
         raise ValueError("degenerate lattice: generator is real")
-    dx = x - x.conj()
-    dy = y - y.conj()
-    tx = x + x.conj()
-    ty = y + y.conj()
-    if dx == dy and ((tx - ty) * Fraction(1, 2)).is_integer():
-        return True
-    if dx == -dy and ((tx + ty) * Fraction(1, 2)).is_integer():
-        return True
-    return False
+    return lattice_coordinates(x, y) is not None and lattice_coordinates(y, x) is not None
 
 
 def lattice_coordinates(x, z):

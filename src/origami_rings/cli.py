@@ -44,7 +44,7 @@ from .errors import (
 from .export import generations_to_csv, generations_to_obj, points_to_svg
 from .geometry import intersect
 from .ratfunc import bulk_field
-from .scalars import Rational, scalar_from_obj
+from .scalars import scalar_from_obj
 
 
 def _config_header(args, command: str) -> dict:
@@ -186,7 +186,7 @@ def cmd_check_ring(args) -> int:
 def _declared_scalar(value):
     """A trace or norm field: a fraction string or a scalar object."""
     if isinstance(value, str):
-        return Rational(Fraction(value))
+        value = {"backend": "rational", "value": value}
     return scalar_from_obj(value)
 
 

@@ -20,7 +20,7 @@ from operator import sub
 
 from .cyclotomic import field_order
 from .errors import CapExceededError
-from .geometry import AngleSet, UnitAngle
+from .geometry import AngleSet, UnitAngle, pair_multipliers
 from .ratfunc import bulk_field
 from .scalars import ExactScalar, Rational, as_scalar
 
@@ -119,18 +119,21 @@ def _vector_step(gen: GenerationSet, angles: AngleSet, max_points: int):
     points: for numeric sets the cyclotomic field of order N, the lcm of
     their orders.
 
-    With the multipliers of `AngleSet.offset_multipliers`, each offset is
+    With the multipliers (x, y, y') of the angle set's elementary table,
+    built again when the points need a larger field, each offset is
     U_p = x*conj(p) - y*p and V_q = x*conj(q) - y'*q, where x*conj(p) serves
-    both sides.  Every value of the step sits over one common denominator, so
-    a value's numerator tuple names it, and numeric sets compute no canonical
-    key.  A new point becomes a scalar at the order the scalar formula gives
-    it, the lcm of the orders of alpha, beta, p and q, so stored
-    representatives match `intersect`.  Returns (N or None, points, offset
-    sizes per pair).
+    both sides.  Every value of the step sits over one common denominator,
+    so a value's numerator tuple names it, and numeric sets compute no
+    canonical key.  A new point becomes a scalar at the order the scalar
+    formula gives it, the lcm of the orders of alpha, beta, p and q, so
+    stored representatives match `intersect`.  Returns (N or None, points,
+    offset sizes per pair).
     """
     point_orders = [field_order(p) for p in gen.points]
     field = bulk_field([a.value for a in angles] + list(gen.points))
-    flat, d = field.vectors(m for triple in angles.offset_multipliers() for m in triple)
+    table_field, d, multipliers = angles._elementary_table()[:3]
+    if field.order != table_field.order:
+        d, multipliers = pair_multipliers(angles.pairs(), field)
     nums, g = field.vectors(gen.points)
     conjs = [field.conj(num) for num in nums]
     seen = {tuple(c * d for c in num) for num in nums}
@@ -140,9 +143,7 @@ def _vector_step(gen: GenerationSet, angles: AngleSet, max_points: int):
         return list(gen.points) + [field.element(z, d * g, o) for z, o in new]
 
     sizes = []
-    for k, (alpha, beta) in enumerate(angles.pairs()):
-        x, y, y2 = flat[3 * k : 3 * k + 3]
-        pair_order = math.lcm(field_order(alpha.value), field_order(beta.value))
+    for x, y, y2, pair_order in multipliers:
         us, vs = {}, {}
         for num, conj, p_order in zip(nums, conjs, point_orders):
             xc = field.mul(x, conj)
@@ -194,7 +195,7 @@ def elementary_monomials(angles: AngleSet) -> tuple[ElementaryMonomial, ...]:
     by value (the first ordered pair producing a value names it), read off
     the angle set's elementary table (`AngleSet._elementary_table`), each
     at the order the intersect call would give it."""
-    field, d, elementary, _, _ = angles._elementary_table()
+    field, d, _, elementary, _ = angles._elementary_table()
     return tuple(
         ElementaryMonomial(a, b, field.element(v, d, o)) for v, (a, b, o) in elementary.items()
     )
@@ -203,7 +204,7 @@ def elementary_monomials(angles: AngleSet) -> tuple[ElementaryMonomial, ...]:
 def nontrivial_monomials(angles: AngleSet) -> tuple[ElementaryMonomial, ...]:
     """Elementary monomials from non-axis direction pairs in argument order,
     dropping 0 and 1, read off the same table."""
-    field, d, _, nontrivial, _ = angles._elementary_table()
+    field, d, _, _, nontrivial = angles._elementary_table()
     return tuple(
         ElementaryMonomial(a, b, field.element(v, d, o)) for v, (a, b, o) in nontrivial.items()
     )
@@ -247,18 +248,20 @@ def projection_set(angles: AngleSet) -> ProjectionSet:
     elementary table (`AngleSet._elementary_table`), for numeric and
     parametric sets alike.
 
-    Each projection along a non-axis direction is -(w + conj(w)) with w the
-    direction's `slide_multiplier` times the conjugate elementary value, as
-    in `project_to_real_axis`.  All projections sit over one common
-    denominator, so their numerator tuples name them; only the distinct ones
-    become scalars with a canonical key.  Each is stored at the order the
-    scalar formula gives it, the lcm of the orders of its first pair and of
-    the direction.
+    The projection of an elementary value v along a non-axis direction gamma
+    is -(w + conj(w)) with w = x*conj(v), x the multiplier of the pair
+    (1, gamma), as in `project_to_real_axis`; those pairs lead the table when
+    the axis is in the set.  All projections sit over one denominator, so
+    their numerator tuples name them; only the distinct ones become scalars,
+    each at the order the scalar formula gives it, the lcm of the orders of
+    its first pair and of the direction.
     """
     nu = angles.non_unit()
-    field, d, elementary, nontrivial, by_pair = angles._elementary_table()
-    slides, s = field.vectors(g.slide_multiplier() for g in nu)
-    gamma_orders = [field_order(g.value) for g in nu]
+    field, d, multipliers, elementary, nontrivial = angles._elementary_table()
+    if angles.contains_one():
+        s, slides = d, multipliers[: len(nu)]
+    else:
+        s, slides = pair_multipliers([(UnitAngle.real_axis(), g) for g in nu], field)
     zero = (0,) * field.degree
     # projections over d*s: per monomial the vector along each direction, and
     # per distinct vector its order in `projections` and in `nontrivial`
@@ -268,14 +271,14 @@ def projection_set(angles: AngleSet) -> ProjectionSet:
     for mono, (_, _, order) in elementary.items():
         conj = field.conj(mono)
         along[mono] = row = []
-        for slide, g_order in zip(slides, gamma_orders):
+        for slide, _, _, g_order in slides:
             w = field.mul(slide, conj)
             v = tuple(-(p + q) for p, q in zip(w, field.conj(w)))
             row.append(v)
             if v != zero and v != one:
                 table.setdefault(v, [math.lcm(order, g_order), None])
     for mono, (_, _, order) in nontrivial.items():
-        for v, g_order in zip(along[mono], gamma_orders):
+        for v, (_, _, _, g_order) in zip(along[mono], slides):
             if v != zero and v != one and table[v][1] is None:
                 table[v][1] = math.lcm(order, g_order)
     all_proj = {Rational(0).canonical_key(): Rational(0), Rational(1).canonical_key(): Rational(1)}
@@ -288,11 +291,12 @@ def projection_set(angles: AngleSet) -> ProjectionSet:
             nontrivial_proj[key] = value if nt_order == order else field.element(v, den, nt_order)
     x = family = None
     if len(nu) == 3 and angles.contains_one():
-        # directions 1 and 3, after the axis, meet widest; project along 2
-        mono, order = by_pair[1, 3]
-        cand = along[mono][1]
+        # directions 1 and 3, after the axis, meet widest (the fifth of the
+        # six pairs); project along 2
+        x1, _, y2, order = multipliers[4]
+        cand = along[tuple(map(sub, y2, x1))][1]
         if cand != zero and cand != one:
-            x = field.element(cand, den, math.lcm(order, gamma_orders[1]))
+            x = field.element(cand, den, math.lcm(order, slides[1][3]))
             family = _x_family(x, all_proj)
     by_key = lambda values: tuple(values[k] for k in sorted(values))
     return ProjectionSet(

@@ -31,7 +31,7 @@ from .intervals import (
     interval_context,
     ratio_to_mpi,
 )
-from .scalars import ExactScalar, Rational
+from .scalars import ExactScalar
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,7 +216,7 @@ def _subfield_coords(n: int, m: int, num):
 
 
 def _check_order(order) -> None:
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ValueError("order must be a positive integer")
 
 
@@ -232,6 +232,7 @@ class CyclotomicElement(ExactScalar):
     """Element of Q(zeta_n) in the reduced power basis."""
 
     __slots__ = ("order", "_num", "_den", "_coeffs", "_min", "_key")
+    _rank = 1
 
     def __init__(self, order: int, coeffs):
         _check_order(order)
@@ -287,8 +288,8 @@ class CyclotomicElement(ExactScalar):
         m = math.lcm(self.order, other.order)
         return self.embed(m), other.embed(m)
 
-    def _promote(self, r: Rational):
-        return CyclotomicElement.from_rational(r.value, self.order)
+    def _promote(self, r: ExactScalar):
+        return CyclotomicElement.from_rational(r.as_fraction(), self.order)
 
     def _add_same(self, other):
         da, db = self._den, other._den

@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import sub
 
 from .cyclotomic import field_order
-from .errors import BackendMismatchError, ParallelLinesError
+from .errors import ParallelLinesError
 from .ratfunc import ParamRational, bulk_field
 from .scalars import ExactScalar, Rational, as_scalar, real_compare, refined_sign
 
@@ -30,7 +30,7 @@ def bracket(x, y) -> ExactScalar:
 class UnitAngle:
     """A line direction: unit-modulus scalar, canonical mod sign."""
 
-    __slots__ = ("value", "_slide")
+    __slots__ = ("value",)
 
     def __init__(self, value):
         v = as_scalar(value)
@@ -39,7 +39,6 @@ class UnitAngle:
         if v.canonical_sign() < 0:
             v = -v
         self.value = v
-        self._slide = None
 
     @classmethod
     def real_axis(cls) -> "UnitAngle":
@@ -47,17 +46,6 @@ class UnitAngle:
 
     def is_one(self) -> bool:
         return self.value == 1
-
-    def slide_multiplier(self) -> ExactScalar:
-        """x = gamma/(conj(gamma) - gamma) for this direction gamma, with which
-        `project_to_real_axis` slides z to -(w + conj(w)), w = x*conj(z).
-        Computed once per instance."""
-        if self._slide is None:
-            if self.is_one():
-                raise ParallelLinesError("projection direction is parallel to the axis")
-            g = self.value
-            self._slide = g * (g.conj() - g).inv()
-        return self._slide
 
     def __eq__(self, other):
         if not isinstance(other, UnitAngle):
@@ -89,12 +77,43 @@ def project_to_real_axis(z, along: UnitAngle) -> ExactScalar:
 
     That is intersect(1, gamma, 0, z) = -[gamma, z]/[1, gamma], which is
     -(w + conj(w)) for w = x*conj(z) and x = gamma/(conj(gamma) - gamma), the
-    direction's `slide_multiplier`: one product and one conjugate.  The
-    operands are those of the intersect call, so the value is stored at the
-    same order.
+    x of `pair_multipliers` for the pair (1, gamma).  The operands are those
+    of the intersect call, so the value is stored at the same order.
     """
-    w = along.slide_multiplier() * as_scalar(z).conj()
+    if along.is_one():
+        raise ParallelLinesError("projection direction is parallel to the axis")
+    g = along.value
+    w = g * (g.conj() - g).inv() * as_scalar(z).conj()
     return -(w + w.conj())
+
+
+def pair_multipliers(pairs, field) -> tuple[int, list[tuple]]:
+    """Per direction pair (alpha, beta), the multipliers (x, y, y') that write
+    the line offsets of the closure step as U_p = x*conj(p) - y*p and
+    V_q = x*conj(q) - y'*q, so intersect(alpha, beta, p, q) = U_p - V_q:
+    x = alpha*beta/[alpha, beta], y = conj(alpha)*beta/[alpha, beta] and
+    y' = alpha*conj(beta)/[alpha, beta].  Each pair works in its own bulk
+    field, of order lcm(ord alpha, ord beta), where it takes one inverse, of
+    its bracket.  Returns (den, rows), one row (x, y, y', order) per pair:
+    vectors of `field` over one denominator, and that order.
+    """
+    values, orders = [], []
+    for alpha, beta in pairs:
+        ends = (alpha.value, beta.value)
+        pair = bulk_field(ends)
+        # the products and the bracket share a denominator, which cancels
+        (a, b), _ = pair.vectors(ends)
+        acb = pair.mul(a, pair.conj(b))
+        denom = list(map(sub, acb, pair.conj(acb)))
+        if not any(denom):
+            raise ParallelLinesError("directions coincide mod sign")
+        order = math.lcm(field_order(alpha.value), field_order(beta.value))
+        inv, d = pair.vector(pair.element(denom, 1, order).inv())
+        for p in (pair.mul(a, b), pair.mul(pair.conj(a), b), acb):
+            values.append(pair.element(pair.mul(p, inv), d, order))
+        orders.append(order)
+    vectors, den = field.vectors(values)
+    return den, [(*vectors[3 * k : 3 * k + 3], order) for k, order in enumerate(orders)]
 
 
 def _imag_sign(v: ExactScalar) -> int:
@@ -143,20 +162,14 @@ def angle_arg_compare(a: UnitAngle, b: UnitAngle) -> int:
 class AngleSet:
     """Pairwise-distinct unit directions, sorted by argument."""
 
-    __slots__ = ("angles", "_multipliers", "_table")
+    __slots__ = ("angles", "_table")
 
     def __init__(self, angles):
         wrapped = [a if isinstance(a, UnitAngle) else UnitAngle(a) for a in angles]
         if len(wrapped) < 2:
             raise ValueError("need at least two directions to intersect")
-        has_param = any(isinstance(a.value, ParamRational) for a in wrapped)
-        has_cyclo = any(
-            not isinstance(a.value, (ParamRational, Rational)) for a in wrapped
-        )
-        if has_param and has_cyclo:
-            raise BackendMismatchError(
-                "parametric and numeric directions cannot be mixed"
-            )
+        # directions that cannot share a bulk field raise BackendMismatchError
+        bulk_field(a.value for a in wrapped)
         seen = set()
         for a in wrapped:
             k = a.value.canonical_key()
@@ -166,7 +179,6 @@ class AngleSet:
         self.angles = tuple(
             sorted(wrapped, key=functools.cmp_to_key(angle_arg_compare))
         )
-        self._multipliers = None
         self._table = None
 
     def contains_one(self) -> bool:
@@ -182,52 +194,29 @@ class AngleSet:
         """Unordered direction pairs (i < j) in argument order."""
         return itertools.combinations(self.angles, 2)
 
-    def offset_multipliers(self) -> tuple[tuple[ExactScalar, ExactScalar, ExactScalar], ...]:
-        """Per direction pair, in `pairs` order, the scalars (x, y, y') that
-        write the line offsets of the closure step as U_p = x*conj(p) - y*p and
-        V_q = x*conj(q) - y'*q, so intersect(alpha, beta, p, q) = U_p - V_q:
-        x = alpha*beta/[alpha, beta], y = conj(alpha)*beta/[alpha, beta] and
-        y' = alpha*conj(beta)/[alpha, beta].  Computed once per instance.
-        """
-        if self._multipliers is None:
-            out = []
-            for alpha, beta in self.pairs():
-                a, b = alpha.value, beta.value
-                denom = bracket(a, b)
-                if denom.is_zero():
-                    raise ParallelLinesError("directions coincide mod sign")
-                inv = denom.inv()
-                out.append((a * b * inv, a.conj() * b * inv, a * b.conj() * inv))
-            self._multipliers = tuple(out)
-        return self._multipliers
-
     def _elementary_table(self):
-        """(field, den, elementary, nontrivial, by_pair), computed once per
-        instance: each intersect(alpha, beta, 0, 1) as a numerator tuple over
-        one denominator in one bulk field, read off the pair's
-        `offset_multipliers` as U_0 - V_1 = y' - x (and x - y with the pair
+        """(field, den, multipliers, elementary, nontrivial), computed once per
+        instance in the bulk field of the directions: ``multipliers`` are the
+        rows of `pair_multipliers` for `pairs` over den, and every
+        intersect(alpha, beta, 0, 1) is a numerator tuple over den, read off
+        its pair's row as U_0 - V_1 = y' - x (and x - y with the pair
         swapped).  ``elementary`` maps each value to (alpha, beta, order) of
-        the first ordered pair giving it, ``nontrivial`` the values of
-        non-axis pairs other than 0 and 1 alike, and ``by_pair[i, j]`` is
-        (y' - x, order) for directions i < j; order is lcm(ord alpha,
-        ord beta), at which `intersect` stores the value."""
+        the first ordered pair giving it, and ``nontrivial`` the values of
+        non-axis pairs other than 0 and 1 alike; order is the pair's, at
+        which `intersect` stores the value."""
         if self._table is None:
             field = bulk_field(a.value for a in self.angles)
-            flat, den = field.vectors(m for triple in self.offset_multipliers() for m in triple)
+            den, multipliers = pair_multipliers(self.pairs(), field)
             zero = (0,) * field.degree
             one = (den,) + zero[1:]
-            elementary, nontrivial, by_pair = {}, {}, {}
-            for k, (i, j) in enumerate(itertools.combinations(range(len(self.angles)), 2)):
-                a, b = self.angles[i], self.angles[j]
-                x, y, y2 = flat[3 * k : 3 * k + 3]
-                order = math.lcm(field_order(a.value), field_order(b.value))
+            elementary, nontrivial = {}, {}
+            for (a, b), (x, y, y2, order) in zip(self.pairs(), multipliers):
                 ab = tuple(map(sub, y2, x))
-                by_pair[i, j] = ab, order
                 elementary.setdefault(ab, (a, b, order))
                 elementary.setdefault(tuple(map(sub, x, y)), (b, a, order))
                 if not (a.is_one() or b.is_one()) and ab != zero and ab != one:
                     nontrivial.setdefault(ab, (a, b, order))
-            self._table = field, den, elementary, nontrivial, by_pair
+            self._table = field, den, multipliers, elementary, nontrivial
         return self._table
 
     def __len__(self):

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from mpmath.libmp import mpi_add, mpi_mul, mpi_sub
 
 from . import _polys
-from .cyclotomic import AmbientField, CyclotomicElement, field_order
+from .cyclotomic import AmbientField, field_order
 from .errors import BackendMismatchError, NonInvertibleError
 from .intervals import (
     ZERO,
@@ -31,7 +31,7 @@ from .intervals import (
     ratio_to_mpi,
     rational_to_iv,
 )
-from .scalars import ExactScalar, Rational, as_scalar
+from .scalars import ExactScalar, as_scalar, common_backend
 
 
 def _canonical(n, d):
@@ -70,6 +70,7 @@ class ParamRational(ExactScalar):
     """Element of Q(t) with conjugation t -> 1/t."""
 
     __slots__ = ("_n", "_d", "_num", "_den")
+    _rank = 2
 
     def __init__(self, num, den=(1,)):
         num = [Fraction(c) for c in num]
@@ -129,8 +130,8 @@ class ParamRational(ExactScalar):
 
     # -- backend hooks ------------------------------------------------------
 
-    def _promote(self, r: Rational):
-        return ParamRational.from_rational(r.value)
+    def _promote(self, r: ExactScalar):
+        return ParamRational.from_rational(r.as_fraction())
 
     def _add_same(self, other):
         if self._d == other._d:
@@ -341,12 +342,10 @@ class ParamField:
 
 
 def bulk_field(values) -> AmbientField | ParamField:
-    """The field for bulk work on values: ParamField when any is parametric,
-    else AmbientField at the lcm of their orders.  A parametric value next to
-    a non-rational cyclotomic one raises BackendMismatchError."""
+    """The field for bulk work on values: ParamField when their
+    `common_backend` is parametric, else AmbientField at the lcm of their
+    orders; values that do not combine raise BackendMismatchError."""
     values = list(values)
-    if not any(isinstance(v, ParamRational) for v in values):
-        return AmbientField(lcm(*(field_order(v) for v in values)))
-    if any(isinstance(v, CyclotomicElement) and not v.is_rational() for v in values):
-        raise BackendMismatchError("cannot combine ParamRational with CyclotomicElement")
-    return ParamField()
+    if common_backend(values) is ParamRational:
+        return ParamField()
+    return AmbientField(lcm(*(field_order(v) for v in values)))

@@ -1,14 +1,16 @@
 """Exact scalar backends: shared base class, rational numbers, coercion.
 
 Every value that the geometry touches is an ExactScalar.  Concrete backends
-are Rational (here), CyclotomicElement and ParamRational.  Mixing a Rational
-with either other backend promotes the rational; mixing the two non-rational
-backends raises BackendMismatchError.
+are Rational (here), CyclotomicElement and ParamRational, ranked in that
+order.  Values combine in the highest-ranked backend among them, into which
+a rational value of another backend is promoted; any other mix raises
+BackendMismatchError (`common_backend`).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import BackendMismatchError, NonInvertibleError, PrecisionError
@@ -27,6 +29,7 @@ class ExactScalar:
     """
 
     __slots__ = ()
+    _rank = 0  # the order in which backends combine (`common_backend`)
 
     # -- hooks ------------------------------------------------------------
 
@@ -43,8 +46,8 @@ class ExactScalar:
         """Align two values of this backend (order embedding etc.)."""
         return self, other
 
-    def _promote(self, r: "Rational"):
-        """Lift a Rational into this backend."""
+    def _promote(self, r: "ExactScalar"):
+        """Lift a rational value of a lower-ranked backend into this one."""
         raise NotImplementedError
 
     def neg(self):
@@ -269,37 +272,57 @@ def as_scalar(x) -> ExactScalar:
 
 
 def coerce(a: ExactScalar, b: ExactScalar):
-    """Bring two scalars into a common backend, or raise BackendMismatchError."""
+    """Bring two scalars into their `common_backend`."""
     if type(a) is type(b):
         return a._merge(b)
-    if isinstance(a, Rational):
+    if common_backend((a, b)) is type(b):
         return b._promote(a), b
-    if isinstance(b, Rational):
-        return a, a._promote(b)
-    raise BackendMismatchError(
-        f"cannot combine {type(a).__name__} with {type(b).__name__}"
-    )
+    return a, a._promote(b)
+
+
+def common_backend(values) -> type:
+    """The highest-ranked backend among values (Rational for none), into
+    which every other value is promoted; a non-rational one raises
+    BackendMismatchError."""
+    values = list(values)
+    top = max(values, key=lambda v: v._rank, default=Rational(0))
+    for v in values:
+        if v._rank < top._rank and not v.is_rational():
+            names = type(top).__name__, type(v).__name__
+            raise BackendMismatchError("cannot combine %s with %s" % names)
+    return type(top)
+
+
+_FRACTION = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
+def _fractions(values) -> list[Fraction]:
+    """A JSON list of fraction strings, as str(Fraction) writes them, as
+    Fractions; a JSON number or any other value raises ValueError."""
+    if isinstance(values, list) and all(
+        isinstance(v, str) and _FRACTION.fullmatch(v) for v in values
+    ):
+        return [Fraction(v) for v in values]
+    raise ValueError(f"{values!r} is not a list of fraction strings")
 
 
 def scalar_from_obj(obj) -> ExactScalar:
-    """Inverse of ExactScalar.to_obj; a value that is not a JSON object raises
-    ValueError."""
+    """Inverse of ExactScalar.to_obj; a value that is not a JSON object, a
+    value or coefficient that is not a fraction string, or an order that is
+    not a JSON integer raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"scalar is not a JSON object: {obj!r}")
     backend = obj.get("backend")
     if backend == "rational":
-        return Rational(Fraction(obj["value"]))
+        return Rational(*_fractions([obj["value"]]))
     if backend == "cyclotomic":
         from .cyclotomic import CyclotomicElement
 
-        coeffs = [Fraction(c) for c in obj["coeffs"]]
-        return CyclotomicElement(int(obj["order"]), coeffs)
+        return CyclotomicElement(obj["order"], _fractions(obj["coeffs"]))
     if backend == "param":
         from .ratfunc import ParamRational
 
-        num = [Fraction(c) for c in obj["num"]]
-        den = [Fraction(c) for c in obj["den"]]
-        return ParamRational(num, den)
+        return ParamRational(_fractions(obj["num"]), _fractions(obj["den"]))
     raise ValueError(f"unknown scalar backend {backend!r}")
 
 

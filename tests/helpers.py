@@ -484,6 +484,17 @@ def quadratic_oracle(x):
     return int(s.as_fraction()), int(-n.as_fraction())
 
 
+def same_lattice_oracle(x, y):
+    """Whether Z + xZ = Z + yZ, from x -+ y in Z on matching imaginary
+    parts: x - conj(x) compares the imaginary parts, the half-sum of traces
+    the real parts."""
+    dx, dy = x - x.conj(), y - y.conj()
+    tx, ty = x + x.conj(), y + y.conj()
+    if dx == dy and ((tx - ty) * Fraction(1, 2)).is_integer():
+        return True
+    return dx == -dy and ((tx + ty) * Fraction(1, 2)).is_integer()
+
+
 def brute_lattice_points(a, b, box, coeff_bound=6):
     """All m + n*(a + b*i) with |m|, |n| <= coeff_bound that land in the box.
 
@@ -695,6 +706,25 @@ def oracle_cyclotomic_membership(solver, target):
     matrix = [list(col) for col in zip(*rows[1:])]
     solution = OracleRationalRowSolver(matrix).solve(rows[0])
     return None if solution is None else _certificate_of_solution(solver, solution)
+
+
+def oracle_offset_multipliers(angles):
+    """Per direction pair, in `pairs` order, the scalars (x, y, y') of the
+    line offsets U_p = x*conj(p) - y*p and V_q = x*conj(q) - y'*q: a
+    bracket, its inverse and three products."""
+    out = []
+    for alpha, beta in angles.pairs():
+        a, b = alpha.value, beta.value
+        inv = bracket(a, b).inv()
+        out.append((a * b * inv, a.conj() * b * inv, a * b.conj() * inv))
+    return out
+
+
+def oracle_slide(gamma):
+    """x = gamma/(conj(gamma) - gamma), with which a projection along gamma
+    is -(w + conj(w)) for w = x*conj(z)."""
+    g = gamma.value
+    return g * (g.conj() - g).inv()
 
 
 def oracle_project_to_real_axis(z, along):

@@ -53,6 +53,7 @@ from helpers import (
     param_coordinate_rows,
     quadratic_oracle,
     random_fraction,
+    same_lattice_oracle,
 )
 
 
@@ -165,6 +166,25 @@ def test_same_lattice_agrees_with_brute_force():
         assert same_lattice(x, y) == same_sets
         checked_equal += same_sets
     assert checked_equal >= 1  # the sample should hit at least one equal pair
+
+
+def test_same_lattice_matches_oracle():
+    # generators over orders 3 to 12, each compared with an integer
+    # translate or negation of itself and with an independent generator
+    rng = random.Random(85)
+    equal = 0
+    for _ in range(150):
+        zeta = root_of_unity(rng.choice([3, 4, 6, 8, 12]), 1)
+        point = lambda: Rational(random_fraction(rng, 6, 3)) + zeta * random_fraction(rng, 6, 3)
+        x = point()
+        if x.is_real():
+            continue
+        shift = Fraction(rng.randint(1, 5), rng.randint(2, 3))
+        for y in (rng.choice([1, -1]) * x + rng.randint(-4, 4), x + shift, point()):
+            if not y.is_real():
+                assert same_lattice(x, y) == same_lattice_oracle(x, y)
+                equal += same_lattice(x, y)
+    assert equal >= 100
 
 
 def test_lattice_coordinates():

@@ -555,6 +555,47 @@ def test_verify_rejects_non_integer_numbers(capsys, tmp_path, edit):
     assert "verified" not in stdout and err.startswith("error:")
 
 
+def _generator_coeffs(obj, *coeffs):
+    obj["generators"][1]["coeffs"] = list(coeffs)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda obj: _generator_coeffs(obj, 1.0, "0", "1", "0"), id="float-coeff"),
+        pytest.param(lambda obj: _generator_coeffs(obj, "1", 0, "1", "0"), id="int-coeff"),
+        pytest.param(lambda obj: _generator_coeffs(obj, "1e0", "0", "1", "0"),
+                     id="exponent-string"),
+        pytest.param(lambda obj: _generator_coeffs(obj, " 1.0 ", "0", "1", "0"),
+                     id="padded-decimal-string"),
+        pytest.param(lambda obj: obj["generators"][1].update(coeffs="1010"), id="coeffs-string"),
+        pytest.param(lambda obj: obj["generators"].__setitem__(
+            0, {"backend": "rational", "value": 1.0}), id="float-value"),
+    ],
+)
+def test_verify_rejects_loose_scalar_numbers(capsys, tmp_path, edit):
+    # every edit keeps the value of the honest file; only the JSON form of a
+    # number differs from what the emitter writes (fraction strings)
+    obj = example_ring_file(capsys, tmp_path)
+    assert obj["generators"][0] == {"backend": "rational", "value": "1"}
+    assert obj["generators"][1]["coeffs"] == ["1", "0", "1", "0"]
+    edit(obj)
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 2
+    assert "verified" not in stdout and err.startswith("error:")
+
+
+def test_verify_rejects_a_decimal_declared_trace(capsys, tmp_path):
+    out = tmp_path / "nr.json"
+    invoke(["check-ring", "--angles", THREE_NOT, "--out", str(out)], capsys)
+    obj = json.loads(out.read_text())
+    assert obj["trace"] == "2"
+    obj["trace"] = "2.0"
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 2
+    assert "verified" not in stdout and err.startswith("error:")
+
+
 HUGE_ORDER = {"backend": "cyclotomic", "order": 100000, "coeffs": ["1"]}
 
 
@@ -606,9 +647,10 @@ def test_lattice_eq_exit_codes(capsys):
 
 
 def test_lattice_eq_rejects_real_generator(capsys):
-    code, _, err = invoke(["lattice-eq", "1,0", "0,1"], capsys)
-    assert code == 2
-    assert "degenerate" in err
+    for left, right in (("1,0", "0,1"), ("1/2,3", "1/2,0")):
+        code, _, err = invoke(["lattice-eq", left, right], capsys)
+        assert code == 2
+        assert "degenerate" in err
 
 
 # --- density ----------------------------------------------------------------------

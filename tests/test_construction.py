@@ -28,10 +28,13 @@ from origami_rings import (
 from origami_rings import construction
 from origami_rings.anglespec import parse_angle_list
 from origami_rings.cli import run
+from origami_rings.geometry import pair_multipliers
 from helpers import (
     oracle_elementary_monomials,
     oracle_nontrivial_monomials,
+    oracle_offset_multipliers,
     oracle_projection_set,
+    oracle_slide,
     oracle_step,
 )
 
@@ -251,6 +254,46 @@ def test_step_logs_counts(caplog):
             assert st["candidates"] == candidates
             assert st["new_points"] == new
             assert st["seconds"] >= 0
+
+
+# --- the angle set's multiplier table ---------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ORACLE_SETS)
+def test_multiplier_table_matches_scalar_oracle(spec):
+    # every (x, y, y') of the table, as a scalar at its pair's order, equals
+    # the scalar formula, and so does every slide x of a pair (1, gamma),
+    # read off the table when the axis leads the set
+    angles = parse_angle_list(spec)[0]
+    field, den, multipliers, _, _ = angles._elementary_table()
+    oracle = oracle_offset_multipliers(angles)
+    assert len(multipliers) == len(oracle)
+    for (*row, order), want in zip(multipliers, oracle):
+        assert [field.element(v, den, order) for v in row] == list(want)
+    nu = angles.non_unit()
+    tables = [pair_multipliers([(UnitAngle.real_axis(), g) for g in nu], field)]
+    if angles.contains_one():
+        tables.append((den, multipliers[: len(nu)]))
+    for s, slides in tables:
+        assert len(slides) == len(nu)
+        for (x, _, _, order), gamma in zip(slides, nu):
+            assert field.element(x, s, order) == oracle_slide(gamma)
+
+
+def test_closure_takes_one_inverse_per_direction_pair(monkeypatch):
+    # the table's brackets are the only inverses of a closure; the step reads
+    # the table and computes no slides
+    calls = []
+    inv = CyclotomicElement.inv
+
+    def counting(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(CyclotomicElement, "inv", counting)
+    angles = example_angles()
+    closure_to_depth(ConstructionConfig(angles, max_depth=2))
+    assert len(calls) == len(list(angles.pairs())) == 6
 
 
 # --- elementary monomials -------------------------------------------------------

@@ -14,11 +14,13 @@ from origami_rings import (
     UnitAngle,
     bracket,
     intersect,
+    nontrivial_monomials,
     project_to_real_axis,
     root_of_unity,
 )
 from helpers import (
     oracle_intersect,
+    oracle_project_to_real_axis,
     random_angle_pair,
     random_point,
     random_rational,
@@ -232,6 +234,7 @@ def test_project_is_real_random():
             continue
         x = project_to_real_axis(z, w)
         assert x.is_real()
+        assert x.to_obj() == oracle_project_to_real_axis(z, w).to_obj()
         # the projected point lies on the line through z with direction w
         assert bracket(w.value, x - z).is_zero()
 
@@ -270,6 +273,14 @@ def test_angle_set_rejects_duplicates():
 def test_angle_set_rejects_backend_mixing():
     with pytest.raises(BackendMismatchError):
         AngleSet([UnitAngle(ParamRational.t_power(1)), ua(6, 1)])
+    # the axis as a cyclotomic 1 is rational, so it goes with t, as in
+    # arithmetic and in bulk work
+    t = ParamRational.t_power
+    mixed = AngleSet([ua(1, 0), UnitAngle(t(1)), UnitAngle(t(2))])
+    plain = AngleSet([UnitAngle(ParamRational.from_rational(1)), UnitAngle(t(1)), UnitAngle(t(2))])
+    assert [m.value for m in nontrivial_monomials(mixed)] == [
+        m.value for m in nontrivial_monomials(plain)
+    ]
 
 
 def test_angle_set_parametric_ordering():

@@ -12,6 +12,7 @@ from origami_rings import (
     ParamRational,
     Rational,
     ceil_exact,
+    coerce,
     floor_exact,
     real_compare,
     real_imag_parts,
@@ -19,6 +20,7 @@ from origami_rings import (
     root_of_unity,
     scalar_from_obj,
 )
+from origami_rings.ratfunc import bulk_field
 from helpers import random_rational
 
 
@@ -92,6 +94,27 @@ def test_param_cyclotomic_mix_rejected():
     assert t != z
 
 
+def test_coerce_mixes_backends_as_bulk_field_does():
+    # a rational stored in a cyclotomic field goes with t, in arithmetic as in
+    # bulk work; a non-rational cyclotomic value never does
+    t = ParamRational.t_power(1)
+    one = root_of_unity(12, 3) * root_of_unity(12, 9)
+    values = [Rational(2), one, root_of_unity(12, 1), ParamRational.from_rational(2), t]
+    for a in values:
+        for b in values:
+            try:
+                bulk_field([a, b])
+            except BackendMismatchError:
+                with pytest.raises(BackendMismatchError):
+                    coerce(a, b)
+            else:
+                x, y = coerce(a, b)
+                assert type(x) is type(y)
+                assert (x, y) == (a, b)
+    assert t + one == t + 1
+    assert isinstance(one + t, ParamRational)
+
+
 def test_real_sign_and_compare():
     assert real_sign(Rational(Fraction(-3, 7))) == -1
     assert real_sign(Rational(Fraction(0))) == 0
@@ -145,6 +168,29 @@ def test_scalar_from_obj_round_trip():
     assert scalar_from_obj(z.to_obj()) == z
     t = ParamRational((Fraction(1), Fraction(0), Fraction(1)), (Fraction(2), Fraction(1)))
     assert scalar_from_obj(t.to_obj()) == t
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"backend": "rational", "value": 1.0},
+        {"backend": "rational", "value": 1},
+        {"backend": "rational", "value": "1e0"},
+        {"backend": "rational", "value": " 1 "},
+        {"backend": "cyclotomic", "order": 4, "coeffs": ["1", 0]},
+        {"backend": "cyclotomic", "order": 4, "coeffs": "10"},
+        {"backend": "cyclotomic", "order": "4", "coeffs": ["1", "0"]},
+        {"backend": "cyclotomic", "order": 4.5, "coeffs": ["1", "0"]},
+        {"backend": "cyclotomic", "order": True, "coeffs": ["1", "0"]},
+        {"backend": "param", "num": ["0", "1.0"], "den": ["1"]},
+    ],
+)
+def test_scalar_from_obj_reads_only_what_to_obj_writes(obj):
+    # values and coefficients are fraction strings and orders JSON integers,
+    # as to_obj writes them; a number of another JSON form is refused, not
+    # rounded or parsed
+    with pytest.raises(ValueError):
+        scalar_from_obj(obj)
 
 
 def test_ceil_exact_of_large_values():
