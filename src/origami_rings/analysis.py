@@ -56,7 +56,11 @@ def same_lattice(x, y) -> bool:
 
 
 def lattice_coordinates(x, z):
-    """(m, n) with z = m + n*x, integers, or None when z is outside Z + xZ."""
+    """(m, n) with z = m + n*x, integers, or None when z is outside Z + xZ.
+
+    n is dz/dx for the imaginary parts dz = z - conj(z) and dx = x - conj(x),
+    read off one nonzero coordinate of dx in their bulk field and checked as
+    dz = n*dx on every coordinate, so no inverse is taken."""
     x = as_scalar(x)
     z = as_scalar(z)
     if x.is_real():
@@ -66,10 +70,14 @@ def lattice_coordinates(x, z):
     if dz.is_zero():
         n = 0
     else:
-        ratio = dz * dx.inv()
+        (vx, vz), _ = bulk_field([dx, dz]).vectors([dx, dz])
+        i = next(i for i, c in enumerate(vx) if c)
+        ratio = as_scalar(vz[i]) * as_scalar(vx[i]).inv()
         if not ratio.is_integer():
             return None
         n = int(ratio.as_fraction())
+        if any(b != n * a for a, b in zip(vx, vz)):
+            return None
     rest = z - n * x
     if not rest.is_integer():
         return None

@@ -41,7 +41,7 @@ from .errors import (
     PrecisionError,
     UnsupportedConfigurationError,
 )
-from .export import generations_to_csv, generations_to_obj, points_to_svg
+from .export import _enclosures, generations_to_csv, generations_to_obj, points_to_svg
 from .geometry import intersect
 from .ratfunc import bulk_field
 from .scalars import scalar_from_obj
@@ -141,21 +141,22 @@ def cmd_elementary(args) -> int:
     meta = _config_header(args, "elementary")
     ivkw = _interval_args(args, angle_set)
     nontrivial = {m.value for m in nontrivial_monomials(angle_set)}
-    monomials = []
-    for m in elementary_monomials(angle_set):
-        entry = {
+    elementary = elementary_monomials(angle_set)
+    monomials = [
+        {
             "alpha": m.alpha.value.to_obj(),
             "beta": m.beta.value.to_obj(),
             "value": m.value.to_obj(),
             "canonical_key": m.value.canonical_key().decode(),
             "nontrivial": m.value in nontrivial,
         }
-        if ivkw is not None:
-            re_lo, re_hi, im_lo, im_hi = (
-                m.value.to_interval(args.precision, **ivkw).endpoint_strings()
-            )
+        for m in elementary
+    ]
+    if ivkw is not None:
+        values = [m.value for m in elementary]
+        ends = _enclosures(values, args.precision, ivkw.get("t_arg"), "elementary")
+        for entry, (re_lo, re_hi, im_lo, im_hi) in zip(monomials, ends):
             entry["interval"] = {"re": [re_lo, re_hi], "im": [im_lo, im_hi]}
-        monomials.append(entry)
     _emit_json({"meta": meta, "monomials": monomials}, args.out)
     return 0
 

@@ -228,6 +228,13 @@ def _trig(n: int, j: int, bits: int):
     return ctx.cos(angle)._mpi_, ctx.sin(angle)._mpi_
 
 
+def _term(n: int, j: int, c: int, den: int, bits: int):
+    """Raw enclosures of the real and imaginary parts of c/den * zeta_n^j."""
+    cos_j, sin_j = _trig(n, j, bits)
+    civ = ratio_to_mpi(c, den, bits)
+    return mpi_mul(civ, cos_j, bits), mpi_mul(civ, sin_j, bits)
+
+
 class CyclotomicElement(ExactScalar):
     """Element of Q(zeta_n) in the reduced power basis."""
 
@@ -414,18 +421,29 @@ class CyclotomicElement(ExactScalar):
 
     # -- numerics ------------------------------------------------------------
 
-    def to_interval(self, bits: int, t_arg=None) -> ComplexInterval:
+    def to_interval(self, bits: int, t_arg=None, memo=None) -> ComplexInterval:
+        """The sum over j of the terms c/den * zeta_n^j (`_term`).  A memo
+        keeps each term once, keyed by the order, j and c/den in lowest
+        terms (the form `ratio_to_mpi` encloses); a lone call encloses each
+        term directly, since no term recurs within one value."""
         if t_arg is not None:
             raise TypeError("specialization applies only to parametric scalars")
         check_precision(bits)
         n, den = self.order, self._den
+        terms = None if memo is None else memo.terms
         re = im = ZERO
         for j, c in enumerate(self._num):
             if c:
-                cos_j, sin_j = _trig(n, j, bits)
-                civ = ratio_to_mpi(c, den, bits)
-                re = mpi_add(re, mpi_mul(civ, cos_j, bits), bits)
-                im = mpi_add(im, mpi_mul(civ, sin_j, bits), bits)
+                if terms is None:
+                    term = _term(n, j, c, den, bits)
+                else:
+                    g = math.gcd(c, den)
+                    key = (n, j, c // g, den // g)
+                    term = terms.get(key)
+                    if term is None:
+                        term = terms[key] = _term(n, j, key[2], key[3], bits)
+                re = mpi_add(re, term[0], bits)
+                im = mpi_add(im, term[1], bits)
         return ComplexInterval._of(re, im, bits)
 
     def to_obj(self):

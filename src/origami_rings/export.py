@@ -2,19 +2,60 @@
 
 Every export is deterministic: points are ordered by canonical key, interval
 endpoints are printed at a pinned precision, and headers carry the run
-configuration rather than timestamps.
+configuration rather than timestamps.  One export shares its interval work
+across its points (`_enclosures`) and keeps none of it after it returns.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import logging
+import time
 
 from .construction import GenerationSet
+from .intervals import Enclosures
 from .ratfunc import ParamRational
+
+log = logging.getLogger(__name__)
 
 # the longer side of an SVG canvas, in pixels
 SVG_SIZE = 800
+
+
+def _enclosures(values, bits: int, t_arg, kind: str, strings: bool = True) -> list:
+    """The enclosures of values at bits, as (re_lo, re_hi, im_lo, im_hi)
+    endpoint strings, or as ComplexIntervals when strings is false.
+
+    One `intervals.Enclosures` memo serves the whole call, so each distinct
+    term, polynomial, ratio and endpoint string is computed once, and each
+    enclosure has the bits of the value's own `to_interval`.  The memo is
+    dropped on return.  Logs one DEBUG record to the
+    ``origami_rings.export`` logger with the export kind, the points, the
+    distinct cyclotomic terms, parametric polynomials and endpoint strings,
+    and the seconds taken.
+    """
+    start = time.perf_counter()
+    memo = Enclosures(bits, t_arg)
+    out = [v.to_interval(bits, t_arg, memo) for v in values]
+    if strings:
+        out = [memo.endpoint_strings(iv) for iv in out]
+    if log.isEnabledFor(logging.DEBUG):
+        stats = {
+            "kind": kind,
+            "points": len(out),
+            "terms": len(memo.terms),
+            "polynomials": len(memo.polys),
+            "endpoints": len(memo.strings),
+            "seconds": time.perf_counter() - start,
+        }
+        log.debug(
+            "%(kind)s export: %(points)d points, %(terms)d distinct terms, "
+            "%(polynomials)d polynomials, %(endpoints)d endpoint strings, "
+            "%(seconds).6f s",
+            stats,
+        )
+    return out
 
 
 def _first_appearance(gens: list[GenerationSet]):
@@ -37,9 +78,9 @@ def generations_to_csv(
         buf.write(f"# {k}={v}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["re_lo", "re_hi", "im_lo", "im_hi", "canonical_key", "depth"])
-    for point, depth in _first_appearance(gens):
-        iv = point.to_interval(bits, t_arg)
-        re_lo, re_hi, im_lo, im_hi = iv.endpoint_strings()
+    rows = _first_appearance(gens)
+    ends = _enclosures([p for p, _ in rows], bits, t_arg, "csv")
+    for (point, depth), (re_lo, re_hi, im_lo, im_hi) in zip(rows, ends):
         writer.writerow([re_lo, re_hi, im_lo, im_hi, point.canonical_key().decode(), depth])
     return buf.getvalue()
 
@@ -51,17 +92,19 @@ def generations_to_obj(
 
     Without a specialization angle, parametric points carry no interval; a
     bad specialization raises as in the CSV and SVG exports."""
-    out = []
+    out, enclosed = [], []
     for gen in sorted(gens, key=lambda g: g.depth):
         points = []
         for p in gen.points:
             entry = {"value": p.to_obj(), "canonical_key": p.canonical_key().decode()}
             if bits is not None and (t_arg is not None or not isinstance(p, ParamRational)):
-                iv = p.to_interval(bits, t_arg)
-                re_lo, re_hi, im_lo, im_hi = iv.endpoint_strings()
-                entry["interval"] = {"re": [re_lo, re_hi], "im": [im_lo, im_hi]}
+                enclosed.append((entry, p))
             points.append(entry)
         out.append({"depth": gen.depth, "size": len(gen.points), "points": points})
+    if bits is not None:
+        ends = _enclosures([p for _, p in enclosed], bits, t_arg, "json")
+        for (entry, _), (re_lo, re_hi, im_lo, im_hi) in zip(enclosed, ends):
+            entry["interval"] = {"re": [re_lo, re_hi], "im": [im_lo, im_hi]}
     return {"generations": out}
 
 
@@ -93,8 +136,9 @@ def points_to_svg(
         lines.append(f"<!-- {k}={v} -->")
     lines.append(f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>')
     r = radius * scale
-    for point, depth in _first_appearance(gens):
-        iv = point.to_interval(bits, t_arg)
+    rows = _first_appearance(gens)
+    enclosures = _enclosures([p for p, _ in rows], bits, t_arg, "svg", strings=False)
+    for (point, depth), iv in zip(rows, enclosures):
         mid = iv.midpoint()
         if not (re_min <= mid.real <= re_max and im_min <= mid.imag <= im_max):
             continue

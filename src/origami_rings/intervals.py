@@ -9,7 +9,8 @@ Each part is held as a raw libmp interval, a (lo, hi) pair of mpf tuples, and
 the arithmetic calls mpmath.libmp directly (mpi_add, mpi_mul, ...), in the
 order and at the precision mpmath's ivmpf operators would use.  ivmpf objects
 appear only where mpmath evaluates pi, cos and sin, and as the `re` and `im`
-fields.
+fields.  `Enclosures` lets many enclosures at one precision share their
+terms, polynomials and endpoint strings.
 """
 
 from __future__ import annotations
@@ -100,6 +101,51 @@ def endpoint_str(x, bits: int) -> str:
     """Decimal string of a raw mpf endpoint."""
     # enough decimal digits to round-trip the binary precision
     return to_str(x, int(bits * 0.302) + 3)
+
+
+class Enclosures:
+    """The interval work of enclosing values at one precision, shared.
+
+    Within the life of one object each distinct cyclotomic term
+    c/den*zeta_n^j (`terms`), parametric polynomial (`polys`), coefficient
+    ratio (`ratio`) and endpoint string (`endpoint_strings`) is computed
+    once.  The backends' `to_interval` fill and read the tables, and sum each
+    value's enclosure exactly as they would alone, so it keeps the same bits.
+    An export holds one object for the whole call and a lone `to_interval`
+    call at most a fresh one: nothing is kept from one request to the next.
+    t_arg is the specialization angle of parametric values, None otherwise.
+    """
+
+    __slots__ = ("bits", "t_arg", "terms", "polys", "ratios", "strings")
+
+    def __init__(self, bits: int, t_arg=None):
+        check_precision(bits)
+        self.bits = bits
+        self.t_arg = t_arg
+        self.terms = {}
+        self.polys = {}
+        self.ratios = {}
+        self.strings = {}
+
+    def ratio(self, num: int, den: int):
+        """ratio_to_mpi(num, den, bits), once per (num, den)."""
+        key = (num, den)
+        r = self.ratios.get(key)
+        if r is None:
+            r = self.ratios[key] = ratio_to_mpi(num, den, self.bits)
+        return r
+
+    def endpoint_strings(self, iv: "ComplexInterval") -> tuple[str, str, str, str]:
+        """(re_lo, re_hi, im_lo, im_hi) of iv, a rectangle at this precision,
+        as decimal strings, each distinct raw endpoint printed once."""
+        strings, bits = self.strings, self.bits
+        out = []
+        for x in (*iv._re, *iv._im):
+            s = strings.get(x)
+            if s is None:
+                s = strings[x] = endpoint_str(x, bits)
+            out.append(s)
+        return tuple(out)
 
 
 def _contains(outer, inner) -> bool:
@@ -226,14 +272,7 @@ class ComplexInterval:
 
     def endpoint_strings(self) -> tuple[str, str, str, str]:
         """(re_lo, re_hi, im_lo, im_hi) as decimal strings."""
-        (rlo, rhi), (ilo, ihi) = self._re, self._im
-        b = self.prec
-        return (
-            endpoint_str(rlo, b),
-            endpoint_str(rhi, b),
-            endpoint_str(ilo, b),
-            endpoint_str(ihi, b),
-        )
+        return Enclosures(self.prec).endpoint_strings(self)
 
     def __repr__(self):
         return f"ComplexInterval(re={self.re}, im={self.im}, prec={self.prec})"

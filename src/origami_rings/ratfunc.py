@@ -27,8 +27,8 @@ from .errors import BackendMismatchError, NonInvertibleError
 from .intervals import (
     ZERO,
     ComplexInterval,
+    Enclosures,
     interval_context,
-    ratio_to_mpi,
     rational_to_iv,
 )
 from .scalars import ExactScalar, as_scalar, common_backend
@@ -69,7 +69,7 @@ def _ratio_str(c: int, lead: int) -> str:
 class ParamRational(ExactScalar):
     """Element of Q(t) with conjugation t -> 1/t."""
 
-    __slots__ = ("_n", "_d", "_num", "_den")
+    __slots__ = ("_n", "_d", "_num", "_den", "_key")
     _rank = 2
 
     def __init__(self, num, den=(1,)):
@@ -81,13 +81,13 @@ class ParamRational(ExactScalar):
         if not d:
             raise ZeroDivisionError("zero denominator")
         self._n, self._d = _canonical(n, d)
-        self._num = None
+        self._num = self._key = None
 
     @classmethod
     def _of(cls, n, d) -> "ParamRational":
         """Wrap an (N, D) pair that is already canonical."""
         x = object.__new__(cls)
-        x._n, x._d, x._num = n, d, None
+        x._n, x._d, x._num, x._key = n, d, None, None
         return x
 
     @classmethod
@@ -206,12 +206,15 @@ class ParamRational(ExactScalar):
         return hash((self._n, self._d))
 
     def canonical_key(self):
-        if self.is_rational():
-            return b"Q:%s" % str(self.as_fraction()).encode()
-        lead = self._d[-1]
-        num = ",".join(_ratio_str(c, lead) for c in self._n)
-        den = ",".join(_ratio_str(c, lead) for c in self._d)
-        return b"P:%s|%s" % (num.encode(), den.encode())
+        if self._key is None:
+            if self.is_rational():
+                self._key = b"Q:%s" % str(self.as_fraction()).encode()
+            else:
+                lead = self._d[-1]
+                num = ",".join(_ratio_str(c, lead) for c in self._n)
+                den = ",".join(_ratio_str(c, lead) for c in self._d)
+                self._key = b"P:%s|%s" % (num.encode(), den.encode())
+        return self._key
 
     def canonical_sign(self):
         for c in self._n:
@@ -221,17 +224,19 @@ class ParamRational(ExactScalar):
 
     # -- numerics ------------------------------------------------------------
 
-    def to_interval(self, bits: int, t_arg=None) -> ComplexInterval:
+    def to_interval(self, bits: int, t_arg=None, memo=None) -> ComplexInterval:
         """Enclose the value at the specialization t = exp(i*t_arg).
 
         t_arg is an angle in radians: an int/Fraction (exact), a float, or a
-        string "pi*p/q" for exact rational multiples of pi.
+        string "pi*p/q" for exact rational multiples of pi.  N and D are
+        each enclosed once per memo (`_horner`).
         """
-        if t_arg is None:
+        if memo is None:
+            memo = Enclosures(bits, t_arg)
+        if memo.t_arg is None:
             raise ValueError("parametric scalar needs a specialization angle")
-        t = _unit_point(bits, t_arg)
         lead = self._d[-1]
-        return _horner(self._n, lead, t, bits) / _horner(self._d, lead, t, bits)
+        return _horner(self._n, lead, memo) / _horner(self._d, lead, memo)
 
     def to_obj(self):
         if self.is_rational():
@@ -265,22 +270,32 @@ def _unit_point(bits: int, t_arg) -> ComplexInterval:
     return ComplexInterval(ctx.cos(angle), ctx.sin(angle), bits)
 
 
-def _horner(coeffs, lead: int, t: ComplexInterval, bits: int) -> ComplexInterval:
-    """Enclosure of the sum of c/lead * t^k over the coefficients c of t^k.
+def _horner(coeffs, lead: int, memo) -> ComplexInterval:
+    """Enclosure of the sum of c/lead * t^k over the coefficients c of t^k,
+    at t = exp(i*memo.t_arg), once per (coeffs, lead) in memo.
 
-    Each step is the complex product acc * t followed by the sum with the
-    coefficient's rectangle [c/lead] x [0], on raw libmp intervals.
+    The accumulator starts at the leading coefficient's rectangle
+    [c/lead] x [0]; each later step is the complex product acc * t followed
+    by the sum of c/lead with the real part, on raw libmp intervals.
     """
-    tr, ti = t._re, t._im
+    key = (coeffs, lead)
+    iv = memo.polys.get(key)
+    if iv is not None:
+        return iv
+    bits = memo.bits
     re = im = ZERO
-    for c in reversed(coeffs):
-        re, im = (
-            mpi_sub(mpi_mul(re, tr, bits), mpi_mul(im, ti, bits), bits),
-            mpi_add(mpi_mul(re, ti, bits), mpi_mul(im, tr, bits), bits),
-        )
-        re = mpi_add(re, ratio_to_mpi(c, lead, bits), bits)
-        im = mpi_add(im, ZERO, bits)
-    return ComplexInterval._of(re, im, bits)
+    if coeffs:
+        t = _unit_point(bits, memo.t_arg)
+        tr, ti = t._re, t._im
+        re = memo.ratio(coeffs[-1], lead)
+        for c in reversed(coeffs[:-1]):
+            re, im = (
+                mpi_sub(mpi_mul(re, tr, bits), mpi_mul(im, ti, bits), bits),
+                mpi_add(mpi_mul(re, ti, bits), mpi_mul(im, tr, bits), bits),
+            )
+            re = mpi_add(re, memo.ratio(c, lead), bits)
+    iv = memo.polys[key] = ComplexInterval._of(re, im, bits)
+    return iv
 
 
 # -- coordinates over a common denominator -----------------------------------------

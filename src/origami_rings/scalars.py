@@ -14,6 +14,7 @@ import re
 from fractions import Fraction
 
 from .errors import BackendMismatchError, NonInvertibleError, PrecisionError
+from .intervals import ComplexInterval, Enclosures
 
 # refinement ceiling for exact sign tests; a nonzero algebraic number always
 # resolves long before this
@@ -78,7 +79,11 @@ class ExactScalar:
         """Sign of the first nonzero coefficient of the canonical form."""
         raise NotImplementedError
 
-    def to_interval(self, bits: int, t_arg=None):
+    def to_interval(self, bits: int, t_arg=None, memo=None):
+        """ComplexInterval enclosing the value at bits; t_arg specializes the
+        parameter t of a parametric value to exp(i*t_arg).  memo, an
+        `intervals.Enclosures` at bits and t_arg, shares the interval work
+        of many calls; without it each call starts a fresh one."""
         raise NotImplementedError
 
     def to_obj(self):
@@ -243,10 +248,13 @@ class Rational(ExactScalar):
         v = self.value
         return (v > 0) - (v < 0)
 
-    def to_interval(self, bits, t_arg=None):
-        from .intervals import ComplexInterval
-
-        return ComplexInterval.from_rationals(self.value, Fraction(0), bits)
+    def to_interval(self, bits, t_arg=None, memo=None):
+        if memo is None:
+            memo = Enclosures(bits, t_arg)
+        v = self.value
+        return ComplexInterval._of(
+            memo.ratio(v.numerator, v.denominator), memo.ratio(0, 1), memo.bits
+        )
 
     def to_obj(self):
         return {"backend": "rational", "value": str(self.value)}

@@ -12,6 +12,7 @@ from origami_rings import (
     CapExceededError,
     Certificate,
     ConstructionConfig,
+    CyclotomicElement,
     MembershipSolver,
     NotRing,
     ParamRational,
@@ -206,6 +207,33 @@ def test_lattice_coordinates_round_trip():
         n = rng.randint(-20, 20)
         z = Rational(Fraction(m)) + x * n
         assert lattice_coordinates(x, z) == (m, n)
+
+
+def test_lattice_coordinates_parametric():
+    x = ParamRational.t_power(1) / 2
+    assert lattice_coordinates(x, 3 + 5 * x) == (3, 5)
+    assert lattice_coordinates(x, x * x) is None  # dz/dx = (t + 1/t)/2
+    assert lattice_coordinates(x, 3 + x / 2) is None  # dz/dx = 1/2
+
+
+@pytest.mark.parametrize(
+    "spec, verdict",
+    [
+        ("0,pi*1/3,pi*2/3", Ring),
+        ("0,pi*1/4,pi*1/2", Ring),
+        ("0,pi*1/6,pi*1/3", Ring),
+        ("0,pi*1/3,pi*1/2", Ring),
+        ("0,pi*1/6,pi*1/2", NotRing),
+    ],
+)
+def test_three_direction_check_ring_takes_one_inverse_per_pair(spec, verdict, monkeypatch):
+    # the elementary table inverts one bracket per direction pair, and the
+    # lattice test reads dz/dx off one coordinate instead of inverting dx
+    calls = []
+    inv = CyclotomicElement.inv
+    monkeypatch.setattr(CyclotomicElement, "inv", lambda self: calls.append(self) or inv(self))
+    assert isinstance(check_ring(parse_angle_list(spec)[0]), verdict)
+    assert len(calls) == 3
 
 
 # --- tangent point --------------------------------------------------------------

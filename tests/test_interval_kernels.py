@@ -89,6 +89,31 @@ def test_param_endpoints_match_oracle(t_arg):
             assert mpi(iv) == oracle.mpi(), (x, bits, t_arg)
 
 
+# The Horner scheme starts at the leading coefficient and adds no zero to
+# the imaginary part; the oracle runs every step from a zero accumulator.
+HORNER_T_ARGS = ["pi*1/7", "pi*3/5", "pi*1/2", 0.3, 1]
+
+
+@pytest.mark.parametrize("t_arg", HORNER_T_ARGS, ids=str)
+def test_horner_shortcut_matches_oracle(t_arg):
+    rng = random.Random(f"horner {t_arg}")
+    for _ in range(40):
+        bits = rng.randint(MIN_PRECISION, 200)
+
+        def poly(length):
+            return [Fraction(rng.randint(-10**rng.randint(1, 40), 10**6), rng.randint(1, 10**4))
+                    for _ in range(length)]
+
+        x = ParamRational(poly(rng.randint(1, 9)), poly(rng.randint(1, 4)) + [1])
+        try:
+            oracle = oracle_param_to_interval((x.num, x.den), bits, t_arg)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                x.to_interval(bits, t_arg)
+            continue
+        assert mpi(x.to_interval(bits, t_arg)) == oracle.mpi(), (x, bits, t_arg)
+
+
 def rectangles(rng, bits):
     """Point rectangles from random rationals, and wider ones built from
     them, as (ComplexInterval, OracleInterval) pairs."""

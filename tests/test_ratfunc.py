@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from origami_rings import NonInvertibleError, ParamRational, Rational, scalar_from_obj
+from origami_rings import NonInvertibleError, ParamRational, Rational, ratfunc, scalar_from_obj
 
 from helpers import (
     mul,
@@ -231,6 +231,19 @@ def test_cached_interval_matches_fresh_enclosure(bits, t_arg):
         # the second call reads the cached enclosure of t
         assert x.to_interval(bits, t_arg).endpoint_strings() == fresh
         assert x.to_interval(bits, t_arg).endpoint_strings() == fresh
+
+
+def test_canonical_key_is_built_once(monkeypatch):
+    calls = []
+    ratio_str = ratfunc._ratio_str
+    monkeypatch.setattr(ratfunc, "_ratio_str", lambda c, lead: calls.append(c) or ratio_str(c, lead))
+    x = ParamRational([1, Fraction(-2, 3)], [5, 0, 2])
+    key = x.canonical_key()
+    assert key == oracle_param_key((x.num, x.den)) and len(calls) == 5
+    assert x.canonical_key() is key and len(calls) == 5
+    # a value built by arithmetic has its own key
+    y = x + 1
+    assert y.canonical_key() == oracle_param_key((y.num, y.den)) != key
 
 
 def test_hash_follows_equality(monkeypatch):
