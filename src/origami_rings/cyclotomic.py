@@ -27,6 +27,7 @@ from .errors import BackendMismatchError, NonInvertibleError
 from .intervals import (
     ZERO,
     ComplexInterval,
+    Enclosures,
     check_precision,
     interval_context,
     ratio_to_mpi,
@@ -157,62 +158,51 @@ def _reduce(n: int, coeffs) -> tuple[list[int], int]:
     rational coefficients, reduced to the length-phi(n) basis."""
     cs = [Fraction(c) for c in coeffs]
     den = math.lcm(*(c.denominator for c in cs))
-    table = _power_table(n)
-    num = [0] * euler_phi(n)
-    for e, c in enumerate(cs):
-        if c:
-            c = c.numerator * (den // c.denominator)
-            for i, t in table[e % n]:
-                num[i] += c * t
-    return num, den
+    return _vec_map([c.numerator * (den // c.denominator) for c in cs], n, 1), den
 
 
 @functools.lru_cache(maxsize=None)
-def _subfield_transform(n: int, m: int):
-    """Integer row transform T with T*E in reduced echelon form, up to a scale.
+def _descent_rows(n: int, p: int):
+    """Integer rows taking a vector of Q(zeta_n) down to Q(zeta_k), k = n/p.
 
-    E has phi(n) rows and phi(m) columns; column j holds the coordinates of
-    zeta_m^j inside Q(zeta_n).  E has full column rank, so T*E is `scale`
-    times the identity stacked on zero rows: solving E*y = c reads y off the
-    first phi(m) entries of T*c / scale and demands the rest vanish.  Rows are
-    returned sparse, as (coordinate rows, vanishing rows, scale).
+    They give its coordinates along a relative power basis over Q(zeta_k):
+    z^0, ..., z^(p-1) when p divides k, since z^p = zeta_k; otherwise
+    zeta_p^0, ..., zeta_p^(p-2), with z = zeta_k^a * zeta_p^b for
+    a*p + b*k = 1 and zeta_p^(p-1) minus the sum of the others.  The value
+    lies in Q(zeta_k) exactly when its parts along every basis element but
+    1 vanish, and its part along 1 is then its vector of order k.  Rows are
+    returned sparse, as (coordinate rows, vanishing rows).
     """
-    assert n % m == 0
-    pn, pm = euler_phi(n), euler_phi(m)
-    step = n // m
-    table = _power_table(n)
-    cols = [dict(table[j * step]) for j in range(pm)]  # zeta_m^j = z^(j*step)
-    rows = []
-    for i in range(pn):
-        aug = [Fraction(col.get(i, 0)) for col in cols]
-        aug += [Fraction(1) if k == i else Fraction(0) for k in range(pn)]
-        rows.append(aug)
-    r = 0
-    for c in range(pm):
-        pivot = next(i for i in range(r, pn) if rows[i][c] != 0)
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(pn):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    scale = math.lcm(*(v.denominator for row in rows for v in row[pm:]))
-    sparse = tuple(
-        tuple((k, int(v * scale)) for k, v in enumerate(row[pm:]) if v) for row in rows
-    )
-    return sparse[:pm], sparse[pm:], scale
+    k = n // p
+    if k % p == 0:  # z^i = z^(i mod p) * zeta_k^(i div p)
+        width = p
+        places = [(i % p, i // p) for i in range(euler_phi(n))]
+    else:  # z^i = zeta_p^(b*i) * zeta_k^(a*i)
+        width, a = p - 1, pow(p, -1, k)
+        b = (1 - a * p) // k
+        places = [(b * i % p, a * i % k) for i in range(euler_phi(n))]
+    table = _power_table(k)
+    rows = [[[] for _ in range(euler_phi(k))] for _ in range(width)]
+    for i, (t, e) in enumerate(places):
+        # zeta_p^(p-1) is minus the sum of the other powers
+        for u, sign in [(t, 1)] if t < width else [(u, -1) for u in range(width)]:
+            for s, c in table[e]:
+                rows[u][s].append((i, sign * c))
+    return tuple(map(tuple, rows[0])), tuple(tuple(row) for part in rows[1:] for row in part)
 
 
 def _subfield_coords(n: int, m: int, num):
-    """Numerators in Q(zeta_m) of the vector num of Q(zeta_n), with the extra
-    denominator they carry, or None when the value lies outside Q(zeta_m)."""
-    coord_rows, vanishing_rows, scale = _subfield_transform(n, m)
-    for row in vanishing_rows:
-        if sum(t * num[k] for k, t in row):
-            return None
-    return [sum(t * num[k] for k, t in row) for row in coord_rows], scale
+    """Numerators in Q(zeta_m), over the same denominator, of the vector num
+    of Q(zeta_n), m | n; None when the value lies outside Q(zeta_m)."""
+    while n != m:
+        p = _prime_divisors(n // m)[0]
+        coord_rows, vanishing_rows = _descent_rows(n, p)
+        for row in vanishing_rows:
+            if sum(t * num[k] for k, t in row):
+                return None
+        num = [sum(t * num[k] for k, t in row) for row in coord_rows]
+        n //= p
+    return num
 
 
 def _check_order(order) -> None:
@@ -376,10 +366,9 @@ class CyclotomicElement(ExactScalar):
                 n, num = 1, num[:1]
                 break
             for p in _prime_divisors(n):
-                sol = _subfield_coords(n, n // p, num)
-                if sol is not None:
-                    n //= p
-                    num, den = _normalize(sol[0], den * sol[1])
+                sub = _subfield_coords(n, n // p, num)
+                if sub is not None:
+                    n, num = n // p, sub
                     break
             else:
                 break
@@ -430,7 +419,7 @@ class CyclotomicElement(ExactScalar):
             raise TypeError("specialization applies only to parametric scalars")
         check_precision(bits)
         n, den = self.order, self._den
-        terms = None if memo is None else memo.terms
+        terms = None if memo is None else Enclosures.for_call(bits, None, memo).terms
         re = im = ZERO
         for j, c in enumerate(self._num):
             if c:
@@ -497,14 +486,12 @@ class AmbientField:
             return [v.numerator] + [0] * (self.degree - 1), v.denominator
         if x.order == n:
             return list(x._num), x._den
-        if n % x.order == 0:
-            return _vec_map(x._num, n, n // x.order), x._den
-        # lift to the compositum, then come back down to this field
-        m = math.lcm(n, x.order)
-        sol = _subfield_coords(m, n, _vec_map(x._num, m, m // x.order))
-        if sol is None:
+        # Q(zeta_n) and Q(zeta_b) meet in Q(zeta_gcd(n, b))
+        g = math.gcd(n, x.order)
+        num = _subfield_coords(x.order, g, x._num)
+        if num is None:
             return None
-        return sol[0], x._den * sol[1]
+        return _vec_map(num, n, n // g), x._den
 
     def vectors(self, values) -> tuple[list[list[int]], int]:
         """Numerator vectors of values in this field over their common denominator."""
@@ -522,9 +509,7 @@ class AmbientField:
         """The value num/den, stored in Q(zeta_order); order divides this one
         and the field must hold the value."""
         if order != self.order:
-            sol = _subfield_coords(self.order, order, num)
-            if sol is None:
+            num = _subfield_coords(self.order, order, num)
+            if num is None:
                 raise ValueError(f"value does not lie in Q(zeta_{order})")
-            num, scale = sol
-            den *= scale
         return CyclotomicElement._make(order, num, den)

@@ -127,6 +127,16 @@ class Enclosures:
         self.ratios = {}
         self.strings = {}
 
+    @classmethod
+    def for_call(cls, bits: int, t_arg, memo) -> "Enclosures":
+        """memo, or a fresh object when it is None; a memo made for other
+        bits or another t_arg holds other enclosures and raises ValueError."""
+        if memo is None:
+            return cls(bits, t_arg)
+        if (memo.bits, memo.t_arg) != (bits, t_arg):
+            raise ValueError(f"memo is for bits={memo.bits}, t_arg={memo.t_arg!r}")
+        return memo
+
     def ratio(self, num: int, den: int):
         """ratio_to_mpi(num, den, bits), once per (num, den)."""
         key = (num, den)

@@ -231,9 +231,8 @@ class ParamRational(ExactScalar):
         string "pi*p/q" for exact rational multiples of pi.  N and D are
         each enclosed once per memo (`_horner`).
         """
-        if memo is None:
-            memo = Enclosures(bits, t_arg)
-        if memo.t_arg is None:
+        memo = Enclosures.for_call(bits, t_arg, memo)
+        if t_arg is None:
             raise ValueError("parametric scalar needs a specialization angle")
         lead = self._d[-1]
         return _horner(self._n, lead, memo) / _horner(self._d, lead, memo)

@@ -83,7 +83,8 @@ class ExactScalar:
         """ComplexInterval enclosing the value at bits; t_arg specializes the
         parameter t of a parametric value to exp(i*t_arg).  memo, an
         `intervals.Enclosures` at bits and t_arg, shares the interval work
-        of many calls; without it each call starts a fresh one."""
+        of many calls; without it each call starts a fresh one.  A memo made
+        for other bits or another t_arg raises ValueError."""
         raise NotImplementedError
 
     def to_obj(self):
@@ -249,8 +250,7 @@ class Rational(ExactScalar):
         return (v > 0) - (v < 0)
 
     def to_interval(self, bits, t_arg=None, memo=None):
-        if memo is None:
-            memo = Enclosures(bits, t_arg)
+        memo = Enclosures.for_call(bits, t_arg, memo)
         v = self.value
         return ComplexInterval._of(
             memo.ratio(v.numerator, v.denominator), memo.ratio(0, 1), memo.bits
@@ -438,5 +438,5 @@ def real_imag_parts(x):
     xe = x.embed(m)
     i_unit = CyclotomicElement.root_of_unity(m, m // 4)
     re = (xe + xe.conj()) * Fraction(1, 2)
-    im = (xe - xe.conj()) * (2 * i_unit).inv()
+    im = (xe.conj() - xe) * i_unit * Fraction(1, 2)
     return re, im

@@ -19,8 +19,10 @@ from a climb by units from a 64-bit lower bound (`oracle_ceil`),
 `oracle_witness` puts them together from the oracle projection set and
 monomials.  The cyclotomic inverse multiplies all other Galois conjugates
 (`oracle_inv`).  Cyclotomic reduction is a Fraction polynomial division by Phi_n
-(`oracle_reduce`).  Parametric arithmetic is redone over Q with a Fraction
-polynomial Euclid on every operation (`oracle_param_*`).  Interval
+(`oracle_reduce`), and descent to a subfield a Fraction Gauss-Jordan
+elimination per pair of orders (`oracle_subfield_transform`).  Parametric
+arithmetic is redone over Q with a Fraction polynomial Euclid on every
+operation (`oracle_param_*`).  Interval
 enclosures are redone with mpmath's ivmpf operators (`OracleInterval`),
 without shared caches.
 """
@@ -205,6 +207,52 @@ def oracle_reduce(n, coeffs):
         cs = folded
     _, rem = divmod_(trim(cs), oracle_cyclotomic_polynomial(n))
     return tuple(rem) + (Fraction(0),) * (euler_phi(n) - len(rem))
+
+
+def oracle_subfield_transform(n, m):
+    """Integer row transform T with T*E in reduced echelon form, up to a scale,
+    by Fraction Gauss-Jordan elimination.
+
+    E has phi(n) rows and phi(m) columns; column j holds the coordinates of
+    zeta_m^j inside Q(zeta_n).  E has full column rank, so T*E is `scale`
+    times the identity stacked on zero rows: solving E*y = c reads y off the
+    first phi(m) entries of T*c / scale and demands the rest vanish.  Rows are
+    returned sparse, as (coordinate rows, vanishing rows, scale).
+    """
+    assert n % m == 0
+    pn, pm = euler_phi(n), euler_phi(m)
+    step = n // m
+    cols = [root_of_unity(n, j * step).coeffs for j in range(pm)]  # zeta_m^j
+    rows = []
+    for i in range(pn):
+        aug = [Fraction(col[i]) for col in cols]
+        aug += [Fraction(1) if k == i else Fraction(0) for k in range(pn)]
+        rows.append(aug)
+    r = 0
+    for c in range(pm):
+        pivot = next(i for i in range(r, pn) if rows[i][c] != 0)
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(pn):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    scale = math.lcm(*(v.denominator for row in rows for v in row[pm:]))
+    sparse = tuple(
+        tuple((k, int(v * scale)) for k, v in enumerate(row[pm:]) if v) for row in rows
+    )
+    return sparse[:pm], sparse[pm:], scale
+
+
+def oracle_subfield_coords(n, m, coords):
+    """Coordinates in Q(zeta_m) of the vector coords of Q(zeta_n), as
+    Fractions, or None when the value lies outside (`oracle_subfield_transform`)."""
+    coord_rows, vanishing_rows, scale = oracle_subfield_transform(n, m)
+    if any(sum(t * coords[k] for k, t in row) for row in vanishing_rows):
+        return None
+    return [Fraction(sum(t * coords[k] for k, t in row), scale) for row in coord_rows]
 
 
 # -- parametric values over Q -----------------------------------------------------

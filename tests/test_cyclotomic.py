@@ -7,19 +7,27 @@ from fractions import Fraction
 import pytest
 
 from origami_rings import (
+    BackendMismatchError,
     CyclotomicElement,
     NonInvertibleError,
+    ParamRational,
     Rational,
     euler_phi,
     root_of_unity,
     scalar_from_obj,
 )
-from origami_rings.cyclotomic import cyclotomic_polynomial
+from origami_rings.cyclotomic import (
+    AmbientField,
+    _subfield_coords,
+    _vec_map,
+    cyclotomic_polynomial,
+)
 from helpers import (
     mul,
     oracle_cyclotomic_polynomial,
     oracle_inv,
     oracle_reduce,
+    oracle_subfield_coords,
     random_cyclo,
     random_fraction,
     trim,
@@ -212,6 +220,62 @@ def test_minimal_form_descends():
     order, coeffs = r.minimal_form()
     assert order == 1
     assert r.is_rational() and r.as_fraction() == Fraction(5, 7)
+
+
+def _subfield_pairs():
+    pairs = [(n, m) for n in range(1, 61) for m in range(1, n + 1) if n % m == 0]
+    return pairs + [(n, m) for n in (120, 240) for m in range(1, n + 1) if n % m == 0]
+
+
+def test_descent_matches_gauss_jordan_oracle():
+    # every m | n <= 60 and every divisor m of 120 and 240, on a vector
+    # inside Q(zeta_m) and on a random one (outside unless the fields agree)
+    rng = random.Random(38)
+    for n, m in _subfield_pairs():
+        inside = [rng.randint(-9, 9) for _ in range(euler_phi(m))]
+        embedded = _vec_map(inside, n, n // m)
+        outside = [rng.randint(-9, 9) for _ in range(euler_phi(n))]
+        for x in (embedded, outside):
+            got = _subfield_coords(n, m, x)
+            want = oracle_subfield_coords(n, m, x)
+            assert (got is None) == (want is None), (n, m, x)
+            if got is not None:
+                assert got == want, (n, m, x)
+        assert _subfield_coords(n, m, embedded) == inside
+
+
+@pytest.mark.parametrize("order, ambient", [(7, 120), (9, 12), (40, 24)])
+def test_ambient_vector_descends_to_the_gcd(order, ambient):
+    # a value of order b meets Q(zeta_n) in Q(zeta_gcd(n, b)); compare with
+    # the lift to the lcm field and the descent from there to Q(zeta_n)
+    rng = random.Random(order * ambient)
+    field = AmbientField(ambient)
+    g, lcm = math.gcd(order, ambient), math.lcm(order, ambient)
+    lifted = AmbientField(lcm)
+    for trial in range(8):
+        x = random_cyclo(rng, g if trial % 2 else order).embed(order)
+        try:
+            want = lifted.element(*lifted.vector(x.embed(lcm)), ambient)
+        except ValueError:
+            want = None
+        got = field.vector(x)
+        if want is None:
+            assert got is None
+        else:
+            assert CyclotomicElement._make(ambient, *got) == want == x
+    with pytest.raises(BackendMismatchError):
+        field.vector(ParamRational.t_power(1))
+
+
+def test_order_12_value_at_order_1980():
+    x = CyclotomicElement(12, [Fraction(1, 3), 2, 0, -5])
+    field = AmbientField(1980)
+    num, den = field.vector(x)
+    y = CyclotomicElement._make(1980, num, den)
+    assert y.minimal_form() == x.minimal_form()
+    assert y.minimal_form()[0] == 12
+    back = field.element(num, den, 12)
+    assert back.order == 12 and back == x
 
 
 def test_canonical_key_identities():

@@ -205,3 +205,25 @@ def test_every_export_kind_logs_once(kind, caplog, capsys):
     loud, records = export_records(caplog, lambda: digest(argv, capsys))
     assert loud == quiet
     assert [r["kind"] for r in records] == [kind]
+
+
+@pytest.mark.parametrize(
+    "value, bits, t_arg, memo_bits, memo_t_arg",
+    [
+        (ParamRational.t_power(1) + 1, 128, "pi*1/5", 128, "pi*1/7"),
+        (ParamRational.t_power(1) + 1, 64, "pi*1/5", 128, "pi*1/5"),
+        (Rational(Fraction(1, 3)), 64, None, 128, None),
+        (Rational(Fraction(1, 3)), 64, "pi*1/5", 64, None),
+        (root_of_unity(5, 1) + Fraction(1, 3), 64, None, 128, None),
+        (root_of_unity(5, 1) + Fraction(1, 3), 64, None, 64, "pi*1/5"),
+    ],
+)
+def test_to_interval_refuses_a_memo_for_other_arguments(value, bits, t_arg, memo_bits, memo_t_arg):
+    # a memo's tables hold enclosures at its own bits and t_arg
+    memo = intervals.Enclosures(memo_bits, memo_t_arg)
+    with pytest.raises(ValueError):
+        value.to_interval(bits, t_arg, memo)
+    shared = value.to_interval(bits, t_arg, intervals.Enclosures(bits, t_arg))
+    alone = value.to_interval(bits, t_arg)
+    assert shared.prec == alone.prec == bits
+    assert shared.endpoint_strings() == alone.endpoint_strings()

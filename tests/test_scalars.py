@@ -21,7 +21,7 @@ from origami_rings import (
     scalar_from_obj,
 )
 from origami_rings.ratfunc import bulk_field
-from helpers import random_rational
+from helpers import random_cyclo, random_rational
 
 
 def test_rational_basics():
@@ -149,6 +149,24 @@ def test_real_imag_parts():
     assert re + im * i == val
     with pytest.raises(BackendMismatchError):
         real_imag_parts(ParamRational.t_power(2))
+
+
+def test_real_imag_parts_match_the_inverse_of_2i():
+    # the imaginary part is (conj(x) - x) * i / 2; compare with dividing
+    # x - conj(x) by 2i through the field inverse
+    rng = random.Random(12)
+    for order in (3, 5, 7, 8, 9, 12, 15, 20, 24, 40, 60, 120):
+        for _ in range(4):
+            x = random_cyclo(rng, order)
+            if x.is_real():
+                continue
+            m = math.lcm(order, 4)
+            i, xe = root_of_unity(m, m // 4), x.embed(m)
+            want = (xe - xe.conj()) * (2 * i).inv()
+            re, im = real_imag_parts(x)
+            assert im.order == want.order and im == want
+            assert im.to_obj() == want.to_obj()
+            assert re + im * i == x
 
 
 def test_hash_consistency_across_backends():
