@@ -144,6 +144,8 @@ class Certificate:
 
 
 def _cap_degree(degree_bound: int) -> None:
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
     if degree_bound > _MAX_CERT_DEGREE:
         raise CapExceededError(
             f"degree bound {degree_bound} is above the ceiling {_MAX_CERT_DEGREE}"
@@ -158,10 +160,10 @@ def evaluate_certificate(cert: Certificate, generators, projections) -> ExactSca
     increasing order, with exponents of at least 1 (an inverse power would
     leave Z[P]); its coefficient must be nonzero, its total degree at most
     ``cert.degree_bound``, and no other term may name the same (generator,
-    monomial) pair.  Anything else raises ValueError, and a degree bound
-    above _MAX_CERT_DEGREE raises CapExceededError, all before any
-    arithmetic, so the work is bounded by the number of terms and the
-    ceiling.  The sum is taken in the inputs' bulk field
+    monomial) pair.  Anything else, a negative degree bound included,
+    raises ValueError, and a degree bound above _MAX_CERT_DEGREE raises
+    CapExceededError, all before any arithmetic, so the work is bounded by
+    the number of terms and the ceiling.  The sum is taken in the inputs' bulk field
     (`ratfunc.bulk_field`), so parametric and cyclotomic inputs do not mix.
     """
     _cap_degree(cert.degree_bound)
@@ -241,6 +243,17 @@ def verify_certificate(cert: Certificate, generators, projections, expected=None
     return evaluate_certificate(cert, generators, projections) == as_scalar(expected)
 
 
+def _columns(monomials, gens, power, mul):
+    """Monomial times generator for each column, the monomial a product of
+    power(pid, exp) under mul; the empty monomial leaves gen as is."""
+    out = []
+    for monomial in monomials:
+        factors = [power(pid, exp) for pid, exp in monomial]
+        mono = functools.reduce(mul, factors) if factors else None
+        out += [gen if mono is None else mul(mono, gen) for gen in gens]
+    return out
+
+
 class MembershipSolver:
     """Reusable search for integer Z[P]-combinations over fixed generators.
 
@@ -257,19 +270,23 @@ class MembershipSolver:
     """
 
     def __init__(self, generators, projections, degree_bound: int):
-        if degree_bound < 0:
-            raise ValueError("degree bound must be nonnegative")
+        _cap_degree(degree_bound)
         if not generators:
             raise ValueError("need at least one generator")
         self.generators = tuple(as_scalar(g) for g in generators)
         self.projections = tuple(as_scalar(p) for p in projections)
         self.degree_bound = degree_bound
         self.exponents = _exponent_vectors(len(self.projections), degree_bound)
+        monomials = [
+            tuple((pid, exp) for pid, exp in enumerate(vec) if exp) for vec in self.exponents
+        ]
+        # the (generator, monomial) of each column, in column order
+        self._terms = [(gen, mono) for mono in monomials for gen in range(len(self.generators))]
         projs = self.projections if degree_bound else ()  # those in some column
         field = bulk_field(self.generators + projs)
         gens, g = field.vectors(self.generators)
         projs, q = field.vectors(projs)
-        columns = self._columns(gens, _projection_powers(field, projs), field.mul)
+        columns = _columns(monomials, gens, _projection_powers(field, projs), field.mul)
         if isinstance(field, ParamField):
             common = common_denominator(c for c, in columns)
             cols = [scaled_numerator(c, common) for c, in columns]
@@ -297,22 +314,6 @@ class MembershipSolver:
                 stats,
             )
 
-    def _columns(self, gens, power, mul):
-        """Monomial times generator for each column, the monomial a product
-        of power(pid, exp) under mul; the empty monomial leaves gen as is."""
-        out = []
-        for vec in self.exponents:
-            factors = [power(pid, exp) for pid, exp in enumerate(vec) if exp]
-            mono = functools.reduce(mul, factors) if factors else None
-            out += [gen if mono is None else mul(mono, gen) for gen in gens]
-        return out
-
-    def _term_of_index(self, idx: int, coeff: int) -> CertTerm:
-        gen = idx % len(self.generators)
-        vec = self.exponents[idx // len(self.generators)]
-        monomial = tuple((pid, exp) for pid, exp in enumerate(vec) if exp)
-        return CertTerm(generator=gen, monomial=monomial, coefficient=coeff)
-
     def solve(self, target) -> Certificate | None:
         coords = self._rows(as_scalar(target))
         if coords is None or len(coords[0]) > self._width:
@@ -322,7 +323,9 @@ class MembershipSolver:
         if solution is None:
             return None
         terms = tuple(
-            self._term_of_index(i, c) for i, c in enumerate(solution) if c
+            CertTerm(generator=gen, monomial=mono, coefficient=c)
+            for (gen, mono), c in zip(self._terms, solution)
+            if c
         )
         return Certificate(product=None, terms=terms, degree_bound=self.degree_bound)
 
@@ -379,9 +382,11 @@ def ring_context(angles: AngleSet) -> RingContext:
         )
     if len(angles) < 3:
         raise UnsupportedConfigurationError("need at least three directions")
+    if len(angles) == 3:
+        nu = angles.non_unit()
+        return RingContext(angles, (Rational(1), intersect(nu[0], nu[1], 0, 1)), ())
     generators = (Rational(1),) + tuple(m.value for m in nontrivial_monomials(angles))
-    projections = projection_set(angles).nontrivial if len(angles) > 3 else ()
-    return RingContext(angles=angles, generators=generators, projections=projections)
+    return RingContext(angles, generators, projection_set(angles).nontrivial)
 
 
 def check_ring(angles: AngleSet, degree_bound: int = 3):
@@ -392,9 +397,9 @@ def check_ring(angles: AngleSet, degree_bound: int = 3):
     Four or more: a full set of pairwise product certificates yields Ring; a
     failed bounded search yields Unknown, never NotRing.  For a parametric
     angle set the verdict is about the formal parameter field: individual
-    specializations of t may behave differently.  A degree bound above
-    _MAX_CERT_DEGREE raises CapExceededError, as `verify` would refuse the
-    certificates.
+    specializations of t may behave differently.  A negative degree bound
+    raises ValueError, and one above _MAX_CERT_DEGREE CapExceededError, as
+    `verify` would refuse the certificates.
     """
     _cap_degree(degree_bound)
     context = ring_context(angles)

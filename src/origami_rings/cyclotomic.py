@@ -60,8 +60,15 @@ def euler_phi(n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> _polys.Poly:
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending degree."""
-    # x^n - 1 divided exactly by Phi_d for every proper divisor d of n
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending degree.
+
+    Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, so only a squarefree
+    order divides: x^n - 1 exactly by Phi_d for every proper divisor d."""
+    rad = math.prod(_prime_divisors(n))
+    if rad < n:
+        out = [0] * (n // rad * euler_phi(rad) + 1)
+        out[:: n // rad] = cyclotomic_polynomial(rad)
+        return tuple(out)
     num = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:

@@ -1,16 +1,17 @@
 """Integer solutions of linear systems via unimodular diagonalization.
 
-diagonalize reduces an integer matrix A to U*A*V = D with U, V unimodular
-and D diagonal (no divisibility chain is enforced; none is needed to solve
+`_reduce` takes an integer matrix A to U*A*V = D with U, V unimodular and D
+diagonal (no divisibility chain is enforced; none is needed to solve
 systems).  A solution of A*x = b is then x = V*y with y_i = (U*b)_i / d_i,
 which exists over the integers iff every division is exact and the zero rows
-of D meet zero entries of U*b.
+of D meet zero entries of U*b.  `RationalRowSolver` does this for a rational
+matrix, one reduction per matrix.
 
 The reduction applies its row operations to A and U, but keeps V only as the
 log of its column operations.  V = E_1 ... E_m for the logged elementary
 matrices, so columns of V are formed by replaying the log in reverse on unit
-vectors, where each operation becomes a row operation; a solver forms only
-the pivot columns it reads.
+vectors, where each operation becomes a row operation (`_replay`); the
+solver forms only the pivot columns it reads.
 """
 
 from __future__ import annotations
@@ -104,47 +105,54 @@ def _replay(log, c: int, columns) -> list[list[int]]:
     return w
 
 
-def diagonalize(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, D, V) with U*A*V = D, U and V unimodular, D diagonal."""
-    u, d, log, _ = _reduce(matrix)
-    c = len(d[0]) if d else 0
-    return u, d, _replay(log, c, range(c))
+class RationalRowSolver:
+    """Integer-solution solver for a rational matrix, precomputed once.
 
-
-class LinearSolver:
-    """Reusable integer solver for a fixed coefficient matrix.
-
+    The matrix is integer numerators `rows` over one positive denominator per
+    column, `dens`.  Row i is scaled by the lcm of its reduced denominators
+    dens[j] // gcd(rows[i][j], dens[j]).  On an integer vector the scaled left
+    side is integral, so a target entry that stays fractional after the same
+    scaling rules out any integer solution.  The scaled integer matrix is
+    reduced once (`_reduce`), and only the pivot columns of V are replayed.
     `column_ops` is the length of the reduction's column log and `passes`
-    its number of pivot searches."""
+    its number of pivot searches.
+    """
 
-    def __init__(self, matrix):
-        self.rows = len(matrix)
-        self.cols = len(matrix[0]) if self.rows else 0
-        self.u, d, log, self.passes = _reduce(matrix)
+    def __init__(self, rows, dens):
+        self.scales = [lcm(*(d // gcd(v, d) for v, d in zip(row, dens))) for row in rows]
+        matrix = [[v * s // d for v, d in zip(row, dens)] for row, s in zip(rows, self.scales)]
+        self.u, reduced, log, self.passes = _reduce(matrix)
         self.column_ops = len(log)
-        self.diag = [d[i][i] for i in range(min(self.rows, self.cols))]
-        pivots = [i for i, di in enumerate(self.diag) if di]
-        w = _replay(log, self.cols, pivots)
+        r, c = len(matrix), len(dens)
+        diag = [reduced[i][i] for i in range(min(r, c))]
+        pivots = [i for i, di in enumerate(diag) if di]
+        w = _replay(log, c, pivots)
         # pivot i with d_i != 0 and the nonzero entries (j, V[j][i]) of column i
         self._pivots = [
-            (i, self.diag[i], [(j, row[t]) for j, row in enumerate(w) if row[t]])
+            (i, diag[i], [(j, row[t]) for j, row in enumerate(w) if row[t]])
             for t, i in enumerate(pivots)
         ]
-        self._zero_rows = [
-            i for i in range(self.rows) if i >= len(self.diag) or not self.diag[i]
-        ]
-        self.rank = len(self._pivots)
+        self._zero_rows = [i for i in range(r) if i >= len(diag) or not diag[i]]
+        self._cols = c
+        self.rank = len(pivots)
 
-    def solve(self, b) -> list[int] | None:
-        """x with A*x = b, or None.  x = V*y with y_i = (U*b)_i / d_i, where y
-        is nonzero only at pivots, so only the pivot columns of V are used."""
-        if len(b) != self.rows:
+    def solve(self, b, den: int) -> list[int] | None:
+        """x with A*x = b/den, for integer numerators b over a positive den.
+
+        x = V*y with y_i = (U*b')_i / d_i for the scaled target b', where y is
+        nonzero only at pivots, so only the pivot columns of V are used."""
+        if len(b) != len(self.scales):
             raise ValueError("right-hand side has the wrong length")
-        b = [int(x) for x in b]
-        ub = [sum(uij * bj for uij, bj in zip(row, b)) for row in self.u]
+        scaled = []
+        for s, v in zip(self.scales, b):
+            q, r = divmod(v * s, den)
+            if r:
+                return None
+            scaled.append(q)
+        ub = [sum(uij * bj for uij, bj in zip(row, scaled)) for row in self.u]
         if any(ub[i] for i in self._zero_rows):
             return None
-        x = [0] * self.cols
+        x = [0] * self._cols
         for i, d, column in self._pivots:
             q, r = divmod(ub[i], d)
             if r:
@@ -153,32 +161,3 @@ class LinearSolver:
                 for j, vji in column:
                     x[j] += q * vji
         return x
-
-
-class RationalRowSolver:
-    """Integer-solution solver for a rational matrix, precomputed once.
-
-    The matrix is integer numerators `rows` over one positive denominator per
-    column, `dens`.  Row i is scaled by the lcm of its reduced denominators
-    dens[j] // gcd(rows[i][j], dens[j]).  On an integer vector the scaled left
-    side is integral, so a target entry that stays fractional after the same
-    scaling rules out any integer solution.
-    """
-
-    def __init__(self, rows, dens):
-        self.scales = [lcm(*(d // gcd(v, d) for v, d in zip(row, dens))) for row in rows]
-        self._solver = LinearSolver(
-            [[v * s // d for v, d in zip(row, dens)] for row, s in zip(rows, self.scales)]
-        )
-        self.rank = self._solver.rank
-        self.column_ops = self._solver.column_ops
-        self.passes = self._solver.passes
-
-    def solve(self, b, den: int) -> list[int] | None:
-        """x with A*x = b/den, for integer numerators b over a positive den."""
-        if len(b) != len(self.scales):
-            raise ValueError("right-hand side has the wrong length")
-        scaled = [divmod(v * s, den) for s, v in zip(self.scales, b)]
-        if any(r for _, r in scaled):
-            return None
-        return self._solver.solve([q for q, _ in scaled])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import time
 
 from .construction import GenerationSet
@@ -120,14 +121,21 @@ def points_to_svg(
     is SVG_SIZE pixels.
 
     viewport is (re_min, re_max, im_min, im_max) in point coordinates; the
-    vertical axis is flipped into screen coordinates.
+    vertical axis is flipped into screen coordinates.  Bounds, extents and
+    the radius in pixels that are not finite, an empty extent and a radius
+    that is not positive raise ValueError.
     """
     re_min, re_max, im_min, im_max = (float(v) for v in viewport)
-    if not (re_max > re_min and im_max > im_min):
+    extents = (re_max - re_min, im_max - im_min)
+    if not all(map(math.isfinite, (re_min, re_max, im_min, im_max, *extents))):
+        raise ValueError("viewport bounds and extents must be finite")
+    if not min(extents) > 0:
         raise ValueError("viewport must have positive extent")
-    scale = SVG_SIZE / max(re_max - re_min, im_max - im_min)
-    width = (re_max - re_min) * scale
-    height = (im_max - im_min) * scale
+    scale = SVG_SIZE / max(extents)
+    width, height = (e * scale for e in extents)
+    r = radius * scale
+    if not (radius > 0 and math.isfinite(r)):
+        raise ValueError("radius must be positive and, in pixels, finite")
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
         f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">'
@@ -135,7 +143,6 @@ def points_to_svg(
     for k, v in (header or {}).items():
         lines.append(f"<!-- {k}={v} -->")
     lines.append(f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>')
-    r = radius * scale
     rows = _first_appearance(gens)
     enclosures = _enclosures([p for p, _ in rows], bits, t_arg, "svg", strings=False)
     for (point, depth), iv in zip(rows, enclosures):

@@ -109,19 +109,22 @@ class Enclosures:
     Within the life of one object each distinct cyclotomic term
     c/den*zeta_n^j (`terms`), parametric polynomial (`polys`), coefficient
     ratio (`ratio`) and endpoint string (`endpoint_strings`) is computed
-    once.  The backends' `to_interval` fill and read the tables, and sum each
-    value's enclosure exactly as they would alone, so it keeps the same bits.
+    once, and so is the enclosure of t = exp(i*t_arg) (`unit`, None until
+    the parametric backend first needs it).  The backends' `to_interval`
+    fill and read the tables, and sum each value's enclosure exactly as
+    they would alone, so it keeps the same bits.
     An export holds one object for the whole call and a lone `to_interval`
     call at most a fresh one: nothing is kept from one request to the next.
     t_arg is the specialization angle of parametric values, None otherwise.
     """
 
-    __slots__ = ("bits", "t_arg", "terms", "polys", "ratios", "strings")
+    __slots__ = ("bits", "t_arg", "unit", "terms", "polys", "ratios", "strings")
 
     def __init__(self, bits: int, t_arg=None):
         check_precision(bits)
         self.bits = bits
         self.t_arg = t_arg
+        self.unit = None
         self.terms = {}
         self.polys = {}
         self.ratios = {}
@@ -191,10 +194,6 @@ class ComplexInterval:
             ratio_to_mpi(im.numerator, im.denominator, bits),
             bits,
         )
-
-    @classmethod
-    def zero(cls, bits: int):
-        return cls.from_rationals(Fraction(0), Fraction(0), bits)
 
     @property
     def re(self):

@@ -15,7 +15,6 @@ membership solver and certificate evaluation each have one body.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -252,11 +251,9 @@ class ParamRational(ExactScalar):
         return f"ParamRational({num} / {den})"
 
 
-# The enclosure of t is computed once per precision and specialization.
-
-
-@functools.lru_cache(maxsize=256, typed=True)
 def _unit_point(bits: int, t_arg) -> ComplexInterval:
+    """Enclosure of t = exp(i*t_arg); a string other than "pi*p/q" raises
+    ValueError."""
     ctx = interval_context(bits)
     if isinstance(t_arg, str):
         if not t_arg.startswith("pi*"):
@@ -271,7 +268,8 @@ def _unit_point(bits: int, t_arg) -> ComplexInterval:
 
 def _horner(coeffs, lead: int, memo) -> ComplexInterval:
     """Enclosure of the sum of c/lead * t^k over the coefficients c of t^k,
-    at t = exp(i*memo.t_arg), once per (coeffs, lead) in memo.
+    at t = exp(i*memo.t_arg), once per (coeffs, lead) in memo, with t
+    enclosed once per memo.
 
     The accumulator starts at the leading coefficient's rectangle
     [c/lead] x [0]; each later step is the complex product acc * t followed
@@ -284,7 +282,9 @@ def _horner(coeffs, lead: int, memo) -> ComplexInterval:
     bits = memo.bits
     re = im = ZERO
     if coeffs:
-        t = _unit_point(bits, memo.t_arg)
+        t = memo.unit
+        if t is None:
+            t = memo.unit = _unit_point(bits, memo.t_arg)
         tr, ti = t._re, t._im
         re = memo.ratio(coeffs[-1], lead)
         for c in reversed(coeffs[:-1]):

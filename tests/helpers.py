@@ -7,8 +7,11 @@ and projections from one intersect call per value, quadratic
 integrality from expanding (X - x)(X - conj(x)), lattice comparison from
 brute-force enumeration of truncated lattices.  Diagonalization forms the
 dense V and applies every column operation to it (`oracle_diagonalize`); the
-integer solve multiplies out the dense V*y from it, and the rational row
-solver scales rows of Fractions (`OracleRationalRowSolver`).  Membership rebuilds the solver's columns as
+integer solve multiplies out the dense V*y from it (`oracle_linear_solve`),
+and the rational row solver scales rows of Fractions and solves with that
+(`OracleRationalRowSolver`).  `diagonalize` is the one helper built on the
+production kernel (`_reduce`, then `_replay` on every column), so that its
+U, D and V can be checked against the oracle's.  Membership rebuilds the solver's columns as
 scalar products (`membership_columns`) and assembles a fresh Fraction
 coordinate matrix for every target: parametric targets over the target's
 and the columns' denominators, cyclotomic ones at the lcm of the target's
@@ -18,7 +21,9 @@ from a scan n = 0, 1, 2, ... (`oracle_least_exponent`) and their ceilings
 from a climb by units from a 64-bit lower bound (`oracle_ceil`),
 `oracle_witness` puts them together from the oracle projection set and
 monomials.  The cyclotomic inverse multiplies all other Galois conjugates
-(`oracle_inv`).  Cyclotomic reduction is a Fraction polynomial division by Phi_n
+(`oracle_inv`).  Phi_n is x^n - 1 divided by Phi_d for every proper
+divisor d, over Q (`oracle_cyclotomic_polynomial`) and in Z[x]
+(`oracle_cyclotomic_division`).  Cyclotomic reduction is a Fraction polynomial division by Phi_n
 (`oracle_reduce`), and descent to a subfield a Fraction Gauss-Jordan
 elimination per pair of orders (`oracle_subfield_transform`).  Parametric
 arithmetic is redone over Q with a Fraction polynomial Euclid on every
@@ -27,6 +32,7 @@ enclosures are redone with mpmath's ivmpf operators (`OracleInterval`),
 without shared caches.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -50,9 +56,10 @@ from origami_rings import (
     real_sign,
     root_of_unity,
 )
+from origami_rings._polys import zdiv
 from origami_rings.analysis import Certificate, CertTerm
 from origami_rings.density import DensityWitness
-from origami_rings.diophantine import LinearSolver
+from origami_rings.diophantine import _reduce, _replay
 from origami_rings.intervals import interval_context
 
 # -- polynomials over Q ---------------------------------------------------------
@@ -193,6 +200,17 @@ def oracle_cyclotomic_polynomial(n):
         if n % d == 0:
             num, rem = divmod_(num, oracle_cyclotomic_polynomial(d))
             assert not rem
+    return num
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_cyclotomic_division(n):
+    """Phi_n in Z[x], from x^n - 1 by exact integer division by every Phi_d
+    for a proper divisor d of n, whether n is squarefree or not."""
+    num = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            num = zdiv(num, oracle_cyclotomic_division(d))
     return num
 
 
@@ -636,6 +654,14 @@ def oracle_diagonalize(matrix):
     return u, a, v
 
 
+def diagonalize(matrix):
+    """(U, D, V) with U*A*V = D from the production kernel: `_reduce`, then
+    `_replay` of its column log on every column of V."""
+    u, d, log, _ = _reduce(matrix)
+    c = len(d[0]) if d else 0
+    return u, d, _replay(log, c, range(c))
+
+
 def oracle_linear_solve(matrix, b):
     """Integer solution of matrix * x = b as the full product V*y, with
     y_i = (U*b)_i / d_i from the oracle diagonalization U*A*V = D; None if
@@ -660,16 +686,16 @@ def oracle_linear_solve(matrix, b):
 
 class OracleRationalRowSolver:
     """Integer-solution solver for a matrix of Fractions: each row scaled by
-    the lcm of its entries' denominators, targets scaled the same way."""
+    the lcm of its entries' denominators, targets scaled the same way and
+    solved by `oracle_linear_solve`."""
 
     def __init__(self, rows):
         self.scales = []
-        scaled = []
+        self._scaled = []
         for row in rows:
             s = math.lcm(*(Fraction(v).denominator for v in row))
             self.scales.append(s)
-            scaled.append([int(Fraction(v) * s) for v in row])
-        self._solver = LinearSolver(scaled)
+            self._scaled.append([int(Fraction(v) * s) for v in row])
 
     def solve(self, b):
         if len(b) != len(self.scales):
@@ -680,7 +706,7 @@ class OracleRationalRowSolver:
             if w.denominator != 1:
                 return None
             bi.append(int(w))
-        return self._solver.solve(bi)
+        return oracle_linear_solve(self._scaled, bi)
 
 
 def membership_columns(solver):

@@ -226,14 +226,14 @@ def test_lattice_coordinates_parametric():
         ("0,pi*1/6,pi*1/2", NotRing),
     ],
 )
-def test_three_direction_check_ring_takes_one_inverse_per_pair(spec, verdict, monkeypatch):
-    # the elementary table inverts one bracket per direction pair, and the
-    # lattice test reads dz/dx off one coordinate instead of inverting dx
+def test_three_direction_check_ring_takes_one_inverse(spec, verdict, monkeypatch):
+    # x is one intersect call, which inverts one bracket, and the lattice
+    # test reads dz/dx off one coordinate instead of inverting dx
     calls = []
     inv = CyclotomicElement.inv
     monkeypatch.setattr(CyclotomicElement, "inv", lambda self: calls.append(self) or inv(self))
     assert isinstance(check_ring(parse_angle_list(spec)[0]), verdict)
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 # --- tangent point --------------------------------------------------------------
@@ -546,6 +546,8 @@ def test_certificate_degree_ceiling():
         evaluate_certificate(Certificate(None, (term,), top + 1), generators, projections)
     with pytest.raises(CapExceededError):
         check_ring(example_angles(), degree_bound=top + 1)
+    with pytest.raises(CapExceededError):
+        MembershipSolver(generators, projections, top + 1)
 
 
 def test_negative_product_id_is_rejected():

@@ -84,6 +84,30 @@ def test_construct_svg(capsys):
     assert stdout.startswith("<svg ") and stdout.rstrip().endswith("</svg>")
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        "--viewport=-inf,inf,-1,1",  # infinite bounds: a width of nan
+        "--viewport=0,1e308,-1e308,1e308",  # the height overflows to inf
+        "--viewport=0,1,nan,1",
+        "--radius=-1",
+        "--radius=0",
+        "--radius=nan",
+        "--radius=inf",
+        # finite inputs whose radius overflows in pixels
+        "--viewport=0,5e-324,0,5e-324",
+        "--radius=1e308 --viewport=0,1e-10,0,1e-10",
+    ],
+)
+def test_construct_svg_refuses_a_canvas_that_is_not_finite(capsys, options):
+    code, stdout, err = invoke(
+        ["construct", "--angles", EXAMPLE, "--depth", "1", "--format", "svg", *options.split()],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == "" and err.startswith("error:")
+
+
 def test_construct_cap_exit_code(capsys, tmp_path):
     out = tmp_path / "partial.csv"
     code, _, err = invoke(
@@ -461,6 +485,24 @@ def test_verify_rejects_forged_terms(capsys, tmp_path, edit):
     code, stdout, err = verify_obj(obj, capsys, tmp_path)
     assert code == 2
     assert "verified" not in stdout and err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", [THREE_RING, EXAMPLE])
+def test_check_ring_refuses_a_negative_degree_bound(capsys, spec):
+    code, stdout, err = invoke(["check-ring", "--angles", spec, "--degree-bound=-1"], capsys)
+    assert code == 2
+    assert stdout == "" and "degree bound must be nonnegative" in err
+
+
+@pytest.mark.parametrize("spec", [THREE_RING, EXAMPLE])
+def test_verify_refuses_a_negative_degree_bound(capsys, tmp_path, spec):
+    out = tmp_path / "ring.json"
+    assert invoke(["check-ring", "--angles", spec, "--out", str(out)], capsys)[0] == 0
+    obj = json.loads(out.read_text())
+    obj["certificates"][0]["degree_bound"] = -1
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 2
+    assert "verified" not in stdout and "degree bound must be nonnegative" in err
 
 
 def test_check_ring_refuses_degree_above_ceiling(capsys):

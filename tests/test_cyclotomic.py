@@ -24,6 +24,7 @@ from origami_rings.cyclotomic import (
 )
 from helpers import (
     mul,
+    oracle_cyclotomic_division,
     oracle_cyclotomic_polynomial,
     oracle_inv,
     oracle_reduce,
@@ -52,6 +53,12 @@ def test_cyclotomic_polynomial_values():
     for n in (5, 8, 15, 24, 60, 120):
         assert cyclotomic_polynomial(n) == oracle_cyclotomic_polynomial(n)
         assert all(type(c) is int for c in cyclotomic_polynomial(n))
+
+
+def test_cyclotomic_polynomial_matches_division_oracle():
+    # through the radical for every order up to 300, and at 1,980 = 2^2 3^2 5 11
+    for n in [*range(1, 301), 1980]:
+        assert cyclotomic_polynomial(n) == oracle_cyclotomic_division(n)
 
 
 def test_root_relations():
