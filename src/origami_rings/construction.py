@@ -244,6 +244,14 @@ def _x_family(x, projections: dict) -> tuple:
 
 
 def projection_set(angles: AngleSet) -> ProjectionSet:
+    """The projection set of the angle set, built once per instance
+    (`_projection_set`) and then held on it."""
+    if angles._projections is None:
+        angles._projections = _projection_set(angles)
+    return angles._projections
+
+
+def _projection_set(angles: AngleSet) -> ProjectionSet:
     """The projection set, computed on the vectors of the angle set's
     elementary table (`AngleSet._elementary_table`), for numeric and
     parametric sets alike.

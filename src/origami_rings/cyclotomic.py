@@ -20,7 +20,7 @@ import functools
 import math
 from fractions import Fraction
 
-from mpmath.libmp import mpi_add, mpi_mul
+from mpmath.libmp import mpf_shift, mpi_add, mpi_mul, round_ceiling, round_floor, to_int
 
 from . import _polys
 from .errors import BackendMismatchError, NonInvertibleError
@@ -217,17 +217,27 @@ def _check_order(order) -> None:
         raise ValueError("order must be a positive integer")
 
 
+def _fixed(iv, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2**bits * x <= hi for every x in the raw interval iv."""
+    return (
+        to_int(mpf_shift(iv[0], bits), round_floor),
+        to_int(mpf_shift(iv[1], bits), round_ceiling),
+    )
+
+
 @functools.lru_cache(maxsize=200_000)
 def _trig(n: int, j: int, bits: int):
-    """Raw enclosures of cos and sin of 2*pi*j/n."""
+    """Raw enclosures of cos and sin of 2*pi*j/n, and the same enclosures
+    as fixed-point integer bounds (`_fixed`) at bits, cos first."""
     ctx = interval_context(bits)
     angle = 2 * ctx.pi * j / n
-    return ctx.cos(angle)._mpi_, ctx.sin(angle)._mpi_
+    cos_j, sin_j = ctx.cos(angle)._mpi_, ctx.sin(angle)._mpi_
+    return cos_j, sin_j, (_fixed(cos_j, bits), _fixed(sin_j, bits))
 
 
 def _term(n: int, j: int, c: int, den: int, bits: int):
     """Raw enclosures of the real and imaginary parts of c/den * zeta_n^j."""
-    cos_j, sin_j = _trig(n, j, bits)
+    cos_j, sin_j, _ = _trig(n, j, bits)
     civ = ratio_to_mpi(c, den, bits)
     return mpi_mul(civ, cos_j, bits), mpi_mul(civ, sin_j, bits)
 
@@ -416,6 +426,24 @@ class CyclotomicElement(ExactScalar):
         return 0
 
     # -- numerics ------------------------------------------------------------
+
+    def part_bounds(self, bits: int, imag: bool = False) -> tuple[int, int, int]:
+        """Re(x) = (1/den) * sum of c_j*cos(2*pi*j/n), and Im(x) the same
+        with sin, so the part times den*2**bits lies between the sums of
+        each integer c_j against the lower and upper fixed-point bounds of
+        its cosine or sine (`_trig`): exact integer arithmetic."""
+        n = self.order
+        lo = hi = 0
+        for j, c in enumerate(self._num):
+            if c:
+                f_lo, f_hi = _trig(n, j, bits)[2][imag]
+                if c > 0:
+                    lo += c * f_lo
+                    hi += c * f_hi
+                else:
+                    lo += c * f_hi
+                    hi += c * f_lo
+        return lo, hi, self._den << bits
 
     def to_interval(self, bits: int, t_arg=None, memo=None) -> ComplexInterval:
         """The sum over j of the terms c/den * zeta_n^j (`_term`).  A memo

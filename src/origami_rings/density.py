@@ -150,16 +150,16 @@ def _estimate(p, c, half: Fraction) -> int:
     """Least n with c_hi * p_hi**n < half for upper bounds c_hi >= c and
     p_hi >= p, from logarithms of integer numerators and denominators (a
     float of a tiny half would underflow); 0 when p_hi reaches 1, in floats
-    too."""
+    too.  The upper bounds are hi/scale of the 64-bit `part_bounds`."""
 
-    def ln(q: Fraction) -> float:
-        return math.log(q.numerator) - math.log(q.denominator)
+    def ln(num: int, den: int) -> float:
+        return math.log(num) - math.log(den)
 
-    p_hi, c_hi = (v.to_interval(64).real_bounds()[1] for v in (p, c))
-    drop = -ln(p_hi)
+    p_hi, c_hi = (v.part_bounds(64)[1:] for v in (p, c))
+    drop = -ln(*p_hi)
     if drop <= 0:
         return 0
-    return max(0, math.floor((ln(c_hi) - ln(half)) / drop) + 1)
+    return max(0, math.floor((ln(*c_hi) - ln(half.numerator, half.denominator)) / drop) + 1)
 
 
 def approximate(target_re, target_im, epsilon, angles: AngleSet) -> DensityWitness:

@@ -45,7 +45,8 @@ class UnitAngle:
         return cls(Rational(1))
 
     def is_one(self) -> bool:
-        return self.value == 1
+        # a rational unit is +-1, and the canonical sign made it 1
+        return self.value.is_rational()
 
     def __eq__(self, other):
         if not isinstance(other, UnitAngle):
@@ -162,7 +163,7 @@ def angle_arg_compare(a: UnitAngle, b: UnitAngle) -> int:
 class AngleSet:
     """Pairwise-distinct unit directions, sorted by argument."""
 
-    __slots__ = ("angles", "_table")
+    __slots__ = ("angles", "_table", "_projections")
 
     def __init__(self, angles):
         wrapped = [a if isinstance(a, UnitAngle) else UnitAngle(a) for a in angles]
@@ -180,6 +181,7 @@ class AngleSet:
             sorted(wrapped, key=functools.cmp_to_key(angle_arg_compare))
         )
         self._table = None
+        self._projections = None  # `construction.projection_set`, once built
 
     def contains_one(self) -> bool:
         return any(a.is_one() for a in self.angles)

@@ -223,6 +223,9 @@ class ParamRational(ExactScalar):
 
     # -- numerics ------------------------------------------------------------
 
+    def part_bounds(self, bits: int, imag: bool = False):
+        raise ValueError("parametric scalar needs a specialization angle")
+
     def to_interval(self, bits: int, t_arg=None, memo=None) -> ComplexInterval:
         """Enclose the value at the specialization t = exp(i*t_arg).
 

@@ -79,6 +79,12 @@ class ExactScalar:
         """Sign of the first nonzero coefficient of the canonical form."""
         raise NotImplementedError
 
+    def part_bounds(self, bits: int, imag: bool = False) -> tuple[int, int, int]:
+        """Integers (lo, hi, scale) with lo <= scale*part <= hi for the real
+        part of the value, or its imaginary part, and scale = den * 2**bits
+        for the value's denominator den."""
+        raise NotImplementedError
+
     def to_interval(self, bits: int, t_arg=None, memo=None):
         """ComplexInterval enclosing the value at bits; t_arg specializes the
         parameter t of a parametric value to exp(i*t_arg).  memo, an
@@ -249,6 +255,11 @@ class Rational(ExactScalar):
         v = self.value
         return (v > 0) - (v < 0)
 
+    def part_bounds(self, bits, imag=False):
+        v = self.value
+        exact = 0 if imag else v.numerator << bits
+        return exact, exact, v.denominator << bits
+
     def to_interval(self, bits, t_arg=None, memo=None):
         memo = Enclosures.for_call(bits, t_arg, memo)
         v = self.value
@@ -337,10 +348,10 @@ def scalar_from_obj(obj) -> ExactScalar:
 def real_sign(x, stats=None) -> int:
     """Exact sign of a real scalar: -1, 0 or +1.
 
-    Rationals are compared directly; algebraic values go through interval
-    refinement after an exact zero test, so the loop terminates.  A ``stats``
-    dict, when given, keeps in ``"bits"`` the highest precision a refinement
-    needed.
+    Rationals are compared directly; algebraic values go through fixed-point
+    refinement after an exact zero test, so the loop terminates.  A
+    ``stats`` dict, when given, keeps in ``"bits"`` the highest precision a
+    refinement needed.
     """
     if isinstance(x, (int, Fraction)):
         return (x > 0) - (x < 0)
@@ -354,17 +365,18 @@ def real_sign(x, stats=None) -> int:
     return refined_sign(x, stats=stats)
 
 
-def refined_sign(x, imag: bool = False, stats=None) -> int:
-    """Sign of the real part of a numeric scalar, or of its imaginary part,
-    from interval enclosures at doubling precision.  The part must be
-    nonzero; callers test that exactly first, so the loop terminates."""
+def refined_sign(x, imag: bool = False, stats=None, offset: int = 0) -> int:
+    """Sign of the real part of a numeric scalar minus the integer offset,
+    or of its imaginary part minus it, from its integer `part_bounds` at
+    doubling precision.  The difference must be nonzero; callers test that
+    exactly first, so the loop terminates."""
     bits = 64
     while bits <= _MAX_SIGN_BITS:
-        iv = x.to_interval(bits)
-        lo, hi = iv.imag_bounds() if imag else iv.real_bounds()
-        if lo > 0 or hi < 0:
+        lo, hi, scale = x.part_bounds(bits, imag)
+        t = offset * scale
+        if lo > t or hi < t:
             _note_bits(stats, bits)
-            return 1 if lo > 0 else -1
+            return 1 if lo > t else -1
         bits *= 2
     part = "imaginary" if imag else "real"
     raise PrecisionError(f"sign of nonzero {part} part did not resolve")
@@ -382,10 +394,12 @@ def real_compare(a, b) -> int:
 def ceil_exact(x, stats=None) -> int:
     """Exact ceiling of a real scalar.
 
-    The enclosure is refined at doubling precision until it is narrower than
-    1, so that the ceiling is one of two integers and at most two exact sign
-    tests pick it.  A ``stats`` dict, when given, keeps in ``"bits"`` the
-    highest precision used and adds the unit steps taken to ``"climbs"``.
+    The integer bounds lo <= scale*x <= hi (`part_bounds`) are refined at
+    doubling precision until hi - lo < scale, so that the ceiling is
+    n = ceil(lo/scale) or n + 1.  It is n when hi <= n*scale; otherwise one
+    sign test of x - n, which is nonzero for an irrational x, picks it.  A
+    ``stats`` dict, when given, keeps in ``"bits"`` the highest precision
+    used and adds the unit steps taken to ``"climbs"``.
     """
     if isinstance(x, (int, Fraction)):
         return math.ceil(Fraction(x))
@@ -395,20 +409,19 @@ def ceil_exact(x, stats=None) -> int:
         return math.ceil(x.as_fraction())
     bits = 64
     while True:
-        lo, hi = x.to_interval(bits).real_bounds()
-        if hi - lo < 1:
+        lo, hi, scale = x.part_bounds(bits)
+        if hi - lo < scale:
             break
         bits *= 2
         if bits > _MAX_SIGN_BITS:
             raise PrecisionError("enclosure for a ceiling did not narrow below 1")
     _note_bits(stats, bits)
-    # lo <= x <= hi < lo + 1, so ceil(x) is n or n + 1
-    n = start = math.ceil(lo)
-    while real_sign(x - n, stats) > 0:
-        n += 1
+    # n - 1 < lo/scale <= x <= hi/scale < n + 1
+    n = -(-lo // scale)
+    climb = hi > n * scale and refined_sign(x, stats=stats, offset=n) > 0
     if stats is not None:
-        stats["climbs"] = stats.get("climbs", 0) + n - start
-    return n
+        stats["climbs"] = stats.get("climbs", 0) + climb
+    return n + climb
 
 
 def floor_exact(x) -> int:

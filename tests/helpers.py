@@ -20,7 +20,10 @@ and the columns' orders.  Certificates are evaluated on scalars, term by term
 from a scan n = 0, 1, 2, ... (`oracle_least_exponent`) and their ceilings
 from a climb by units from a 64-bit lower bound (`oracle_ceil`),
 `oracle_witness` puts them together from the oracle projection set and
-monomials.  The cyclotomic inverse multiplies all other Galois conjugates
+monomials.  Signs and ceilings of real scalars are also decided on complex
+interval enclosures at doubling precision (`oracle_refined_sign`,
+`oracle_real_sign`, `oracle_ceil_exact`), without `part_bounds`.
+The cyclotomic inverse multiplies all other Galois conjugates
 (`oracle_inv`).  Phi_n is x^n - 1 divided by Phi_d for every proper
 divisor d, over Q (`oracle_cyclotomic_polynomial`) and in Z[x]
 (`oracle_cyclotomic_division`).  Cyclotomic reduction is a Fraction polynomial division by Phi_n
@@ -872,6 +875,48 @@ def oracle_evaluate_certificate(cert, generators, projections):
 
 
 # -- density ----------------------------------------------------------------------
+
+
+def oracle_refined_sign(x, imag=False):
+    """Sign of the real or imaginary part of a nonzero numeric scalar from
+    its complex interval enclosure (`to_interval`) at doubling precision,
+    from 64 bits up to 2**20."""
+    bits = 64
+    while bits <= 1 << 20:
+        iv = x.to_interval(bits)
+        lo, hi = iv.imag_bounds() if imag else iv.real_bounds()
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        bits *= 2
+    raise PrecisionError("sign of nonzero part did not resolve")
+
+
+def oracle_real_sign(x):
+    """Exact sign of a real scalar: exact zero and rational tests, then
+    `oracle_refined_sign`."""
+    if x.is_zero():
+        return 0
+    if x.is_rational():
+        return 1 if x.as_fraction() > 0 else -1
+    return oracle_refined_sign(x)
+
+
+def oracle_ceil_exact(x):
+    """Ceiling of a real scalar, refining its interval enclosure until it is
+    narrower than 1 and climbing by units from ceil(lo) with exact sign
+    tests of x - n (`oracle_real_sign`)."""
+    if x.is_rational():
+        return math.ceil(x.as_fraction())
+    bits = 64
+    while True:
+        lo, hi = x.to_interval(bits).real_bounds()
+        if hi - lo < 1:
+            break
+        bits *= 2
+    n = math.ceil(lo)
+    while oracle_real_sign(x - n) > 0:
+        n += 1
+    return n
 
 
 def oracle_least_exponent(p, c, half):

@@ -480,3 +480,19 @@ def test_parametric_projection_family():
     keys = {p.canonical_key() for p in ps.nontrivial}
     assert p1.canonical_key() in keys
     assert ps.x is not None and ps.x == p1
+
+
+@pytest.mark.parametrize("spec", ORACLE_SETS + POOL_SETS + [MIXED_ORDERS])
+def test_is_one_agrees_with_scalar_equality(spec):
+    for a in parse_angle_list(spec)[0]:
+        assert a.is_one() == (a.value == 1)
+
+
+def test_is_one_of_stored_and_parametric_axes():
+    one_at_12 = UnitAngle(CyclotomicElement.from_rational(1, 12))
+    param_one = UnitAngle(ParamRational.from_rational(Fraction(1)))
+    minus_one = UnitAngle(CyclotomicElement.from_rational(-1, 12))
+    for a in (one_at_12, param_one, minus_one, UnitAngle.real_axis()):
+        assert a.is_one() and a.value == 1
+    for a in (UnitAngle(ParamRational.t_power(1)), ua(12, 1), ua(4, 1)):
+        assert not a.is_one() and a.value != 1

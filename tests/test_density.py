@@ -23,7 +23,7 @@ from origami_rings import (
     real_sign,
     root_of_unity,
 )
-from origami_rings import density
+from origami_rings import construction, density
 from origami_rings.anglespec import parse_angle_list
 from helpers import oracle_least_exponent, oracle_witness
 
@@ -268,3 +268,17 @@ def test_approximate_validation():
     )
     with pytest.raises(UnsupportedConfigurationError):
         approximate(0, 0, Fraction(1, 10), param)
+
+
+def test_approximate_builds_the_projection_set_once(monkeypatch):
+    calls = []
+    build = construction._projection_set
+    monkeypatch.setattr(
+        construction, "_projection_set", lambda angles: calls.append(angles) or build(angles)
+    )
+    angles = example_angles()
+    first = approximate(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 1000), angles)
+    second = approximate(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 1000), angles)
+    assert first == second and calls == [angles]
+    projection_set(example_angles())  # a new instance builds its own
+    assert len(calls) == 2
