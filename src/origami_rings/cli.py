@@ -43,7 +43,8 @@ from .errors import (
 )
 from .export import _enclosures, generations_to_csv, generations_to_obj, points_to_svg
 from .geometry import intersect
-from .ratfunc import bulk_field
+from .intervals import check_precision
+from .ratfunc import bulk_field, pi_multiple
 from .scalars import scalar_from_obj
 
 
@@ -80,6 +81,15 @@ def _angles_arg(args):
     angle_set, normalized = parse_angle_list(args.angles)
     args.angles = ",".join(normalized)  # normalized form into the header
     return angle_set
+
+
+def _check_interval_flags(args):
+    """Refuse a --precision or --param-arg that no enclosure could use, on
+    every command that takes them, whether or not it encloses anything."""
+    if getattr(args, "precision", None) is not None:
+        check_precision(args.precision)
+    if getattr(args, "param_arg", None) is not None:
+        pi_multiple(args.param_arg)
 
 
 def _interval_args(args, angle_set):
@@ -394,6 +404,7 @@ def run(argv=None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     try:
+        _check_interval_flags(args)
         return args.func(args)
     except CapExceededError as err:
         print(f"error: {err}", file=sys.stderr)

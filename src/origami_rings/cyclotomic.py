@@ -273,11 +273,7 @@ class CyclotomicElement(ExactScalar):
 
     @classmethod
     def root_of_unity(cls, order: int, k: int = 1) -> "CyclotomicElement":
-        _check_order(order)
-        num = [0] * euler_phi(order)
-        for i, t in _power_table(order)[k % order]:
-            num[i] = t
-        return cls._make(order, num, 1)
+        return cls._make(order, AmbientField(order).root(k), 1)
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicElement":
@@ -304,6 +300,18 @@ class CyclotomicElement(ExactScalar):
 
     def _promote(self, r: ExactScalar):
         return CyclotomicElement.from_rational(r.as_fraction(), self.order)
+
+    def _scale(self, q):
+        a = q.numerator
+        return CyclotomicElement._make(
+            self.order, [c * a for c in self._num], self._den * q.denominator
+        )
+
+    def _shift(self, q):
+        b = q.denominator
+        num = [c * b for c in self._num]
+        num[0] += q.numerator * self._den
+        return CyclotomicElement._make(self.order, num, self._den * b)
 
     def _add_same(self, other):
         da, db = self._den, other._den
@@ -401,7 +409,8 @@ class CyclotomicElement(ExactScalar):
         return not any(self._num[1:])
 
     def is_real(self):
-        return self._eq_same(self.conj())
+        n = self.order
+        return n <= 2 or list(self._num) == _vec_map(self._num, n, n - 1)
 
     def as_fraction(self):
         if not self.is_rational():
@@ -533,6 +542,13 @@ class AmbientField:
         vecs = [self.vector(v) for v in values]
         den = math.lcm(*(d for _, d in vecs))
         return [[c * (den // d) for c in num] for num, d in vecs], den
+
+    def root(self, k: int) -> list[int]:
+        """Numerators of zeta_n^k, over denominator 1."""
+        num = [0] * self.degree
+        for i, t in _power_table(self.order)[k % self.order]:
+            num[i] = t
+        return num
 
     def conj(self, num) -> list[int]:
         return _vec_map(num, self.order, self.order - 1)

@@ -42,6 +42,12 @@ def _canonical(n, d):
         if len(g) > 1:
             n = _polys.zdiv(n, g)
             d = _polys.zdiv(d, g)
+    return _primitive(n, d)
+
+
+def _primitive(n, d):
+    """n/d with the content of n and d together divided out and d leading
+    positive; canonical when n is nonzero and coprime to d in Q[t]."""
     c = gcd(*n, *d)
     if d[-1] < 0:
         c = -c
@@ -131,6 +137,24 @@ class ParamRational(ExactScalar):
 
     def _promote(self, r: ExactScalar):
         return ParamRational.from_rational(r.as_fraction())
+
+    # a/b * N/D and (b*N + a*D) / (b*D) stay coprime in Q[t] for a nonzero
+    # a, since gcd(b*N + a*D, D) = gcd(N, D) = 1, so only the content changes
+
+    def _scale(self, q):
+        a, b = q.numerator, q.denominator
+        if not a:
+            return ParamRational._of((), (1,))
+        return ParamRational._of(
+            *_primitive(tuple(a * c for c in self._n), tuple(b * c for c in self._d))
+        )
+
+    def _shift(self, q):
+        a, b = q.numerator, q.denominator
+        n = _polys.zadd(tuple(b * c for c in self._n), tuple(a * c for c in self._d))
+        if not n:
+            return ParamRational._of((), (1,))
+        return ParamRational._of(*_primitive(n, tuple(b * c for c in self._d)))
 
     def _add_same(self, other):
         if self._d == other._d:
@@ -254,14 +278,20 @@ class ParamRational(ExactScalar):
         return f"ParamRational({num} / {den})"
 
 
+def pi_multiple(t_arg: str) -> Fraction:
+    """p/q of a specialization angle written "pi*p/q"; any other string
+    raises ValueError."""
+    if not t_arg.startswith("pi*"):
+        raise ValueError(f"bad specialization {t_arg!r}")
+    return Fraction(t_arg[3:])
+
+
 def _unit_point(bits: int, t_arg) -> ComplexInterval:
     """Enclosure of t = exp(i*t_arg); a string other than "pi*p/q" raises
     ValueError."""
     ctx = interval_context(bits)
     if isinstance(t_arg, str):
-        if not t_arg.startswith("pi*"):
-            raise ValueError(f"bad specialization {t_arg!r}")
-        angle = ctx.pi * rational_to_iv(Fraction(t_arg[3:]), ctx)
+        angle = ctx.pi * rational_to_iv(pi_multiple(t_arg), ctx)
     elif isinstance(t_arg, float):
         angle = ctx.mpf(t_arg)
     else:

@@ -2,9 +2,11 @@
 
 Every value that the geometry touches is an ExactScalar.  Concrete backends
 are Rational (here), CyclotomicElement and ParamRational, ranked in that
-order.  Values combine in the highest-ranked backend among them, into which
-a rational value of another backend is promoted; any other mix raises
-BackendMismatchError (`common_backend`).
+order.  An int, Fraction or Rational operand scales or shifts the other
+value in place (`_scale`, `_shift`), with no field element built for it.
+Any other mix of backends combines in the highest-ranked backend among
+them, into which a rational value of another backend is promoted; any other
+mix raises BackendMismatchError (`common_backend`).
 """
 
 from __future__ import annotations
@@ -21,12 +23,61 @@ from .intervals import ComplexInterval, Enclosures
 _MAX_SIGN_BITS = 1 << 20
 
 
+def _rational(x):
+    """The int or Fraction value of an int, Fraction or Rational operand;
+    None for any other."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, Rational):
+        return x.value
+    return None
+
+
+def _operators(same, rational):
+    """The forward and reflected methods of one binary operator of
+    ExactScalar: same(a, b) combines two values of one backend,
+    rational(x, q, x_first) a value x with an int, Fraction or Rational
+    operand's value q, on either side (x_first: x is the left operand), and
+    any other mix goes through `coerce`."""
+
+    def forward(self, other):
+        if type(other) is type(self):
+            return same(*self._merge(other))
+        q = _rational(other)
+        if q is not None:
+            return rational(self, q, True)
+        if not isinstance(other, ExactScalar):
+            return NotImplemented
+        if isinstance(self, Rational):
+            return rational(other, self.value, False)
+        return same(*coerce(self, other))
+
+    def reflected(self, other):
+        q = _rational(other)
+        if q is not None:
+            return rational(self, q, False)
+        if not isinstance(other, ExactScalar):
+            return NotImplemented
+        return same(*coerce(other, self))
+
+    return forward, reflected
+
+
+def _divide(x, q, x_first: bool):
+    """x / q, or q / x when x is the right operand."""
+    if not x_first:
+        return x.inv()._scale(q)
+    if not q:
+        raise NonInvertibleError("inverse of zero")
+    return x._scale(1 / Fraction(q))
+
+
 class ExactScalar:
     """Common operator plumbing for exact field elements.
 
     Subclasses implement the ``_same``-suffixed hooks for operands already in
-    the same backend (and, for cyclotomic elements, the same order); the
-    operators here handle wrapping of int/Fraction operands and coercion.
+    the same backend (and, for cyclotomic elements, the same order), and
+    `_scale` and `_shift` for a rational operand.
     """
 
     __slots__ = ()
@@ -46,6 +97,14 @@ class ExactScalar:
     def _merge(self, other):
         """Align two values of this backend (order embedding etc.)."""
         return self, other
+
+    def _scale(self, q):
+        """The value times the int or Fraction q."""
+        raise NotImplementedError
+
+    def _shift(self, q):
+        """The value plus the int or Fraction q."""
+        raise NotImplementedError
 
     def _promote(self, r: "ExactScalar"):
         """Lift a rational value of a lower-ranked backend into this one."""
@@ -110,51 +169,19 @@ class ExactScalar:
 
     # -- operators ----------------------------------------------------------
 
-    def __add__(self, other):
-        other = _wrap(other)
-        if other is None:
-            return NotImplemented
-        a, b = coerce(self, other)
-        return a._add_same(b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _wrap(other)
-        if other is None:
-            return NotImplemented
-        a, b = coerce(self, other)
-        return a._add_same(b.neg())
-
-    def __rsub__(self, other):
-        other = _wrap(other)
-        if other is None:
-            return NotImplemented
-        a, b = coerce(other, self)
-        return a._add_same(b.neg())
-
-    def __mul__(self, other):
-        other = _wrap(other)
-        if other is None:
-            return NotImplemented
-        a, b = coerce(self, other)
-        return a._mul_same(b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _wrap(other)
-        if other is None:
-            return NotImplemented
-        a, b = coerce(self, other)
-        return a._mul_same(b.inv())
-
-    def __rtruediv__(self, other):
-        other = _wrap(other)
-        if other is None:
-            return NotImplemented
-        a, b = coerce(other, self)
-        return a._mul_same(b.inv())
+    __add__, __radd__ = _operators(
+        lambda a, b: a._add_same(b), lambda x, q, x_first: x._shift(q)
+    )
+    __sub__, __rsub__ = _operators(
+        lambda a, b: a._add_same(b.neg()),
+        lambda x, q, x_first: x._shift(-q) if x_first else x.neg()._shift(q),
+    )
+    __mul__, __rmul__ = _operators(
+        lambda a, b: a._mul_same(b), lambda x, q, x_first: x._scale(q)
+    )
+    __truediv__, __rtruediv__ = _operators(
+        lambda a, b: a._mul_same(b.inv()), _divide
+    )
 
     def __neg__(self):
         return self.neg()
@@ -164,19 +191,28 @@ class ExactScalar:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        result = self.one_like()
-        base = self
-        while n:
+        if n == 0:
+            return self.one_like()
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
-        other = _wrap(other)
-        if other is None:
+        if type(other) is type(self):
+            a, b = self._merge(other)
+            return a._eq_same(b)
+        q = _rational(other)
+        if q is not None:
+            return self.is_rational() and self.as_fraction() == q
+        if not isinstance(other, ExactScalar):
             return NotImplemented
+        if isinstance(self, Rational):
+            return other.is_rational() and other.as_fraction() == self.value
         try:
             a, b = coerce(self, other)
         except BackendMismatchError:
@@ -221,6 +257,12 @@ class Rational(ExactScalar):
 
     def _eq_same(self, other):
         return self.value == other.value
+
+    def _scale(self, q):
+        return Rational(self.value * q)
+
+    def _shift(self, q):
+        return Rational(self.value + q)
 
     def _promote(self, r):
         return r
@@ -441,15 +483,17 @@ def real_imag_parts(x):
         return x, Rational(0)
     if x.is_real():
         return x, x.zero_like()
-    from .cyclotomic import CyclotomicElement
+    from .cyclotomic import AmbientField, CyclotomicElement
 
     if not isinstance(x, CyclotomicElement):
         raise BackendMismatchError(
             f"no exact real/imaginary split for {type(x).__name__}"
         )
+    # re = (x + conj x)/2 and im = (conj x - x)*i/2, on vectors of order m
     m = math.lcm(x.order, 4)
-    xe = x.embed(m)
-    i_unit = CyclotomicElement.root_of_unity(m, m // 4)
-    re = (xe + xe.conj()) * Fraction(1, 2)
-    im = (xe.conj() - xe) * i_unit * Fraction(1, 2)
-    return re, im
+    field = AmbientField(m)
+    num, den = field.vector(x)
+    conj = field.conj(num)
+    re = [a + b for a, b in zip(num, conj)]
+    im = field.mul([b - a for a, b in zip(num, conj)], field.root(m // 4))
+    return field.element(re, 2 * den, m), field.element(im, 2 * den, m)

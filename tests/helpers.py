@@ -16,13 +16,15 @@ scalar products (`membership_columns`) and assembles a fresh Fraction
 coordinate matrix for every target: parametric targets over the target's
 and the columns' denominators, cyclotomic ones at the lcm of the target's
 and the columns' orders.  Certificates are evaluated on scalars, term by term
-(`oracle_evaluate_certificate`).  Density witnesses take their exponents
-from a scan n = 0, 1, 2, ... (`oracle_least_exponent`) and their ceilings
-from a climb by units from a 64-bit lower bound (`oracle_ceil`),
-`oracle_witness` puts them together from the oracle projection set and
-monomials.  Signs and ceilings of real scalars are also decided on complex
-interval enclosures at doubling precision (`oracle_refined_sign`,
-`oracle_real_sign`, `oracle_ceil_exact`), without `part_bounds`.
+(`oracle_evaluate_certificate`).  Signs and ceilings of real scalars are
+decided on complex interval enclosures at doubling precision
+(`oracle_refined_sign`, `oracle_real_sign`, `oracle_ceil_exact`), without
+`part_bounds`.  Density witnesses take their exponents from a scan
+n = 0, 1, 2, ... (`oracle_least_exponent`) and their ceilings from
+`oracle_ceil_exact`; `oracle_witness` puts them together from the oracle
+projection set and monomials.  Arithmetic with a rational operand goes
+through `coerce` and the `_same` hooks of the common backend
+(`oracle_combine`), where the operators scale or shift in place.
 The cyclotomic inverse multiplies all other Galois conjugates
 (`oracle_inv`).  Phi_n is x^n - 1 divided by Phi_d for every proper
 divisor d, over Q (`oracle_cyclotomic_polynomial`) and in Z[x]
@@ -42,6 +44,7 @@ from fractions import Fraction
 from mpmath import make_mpf, mp, nstr
 
 from origami_rings import (
+    BackendMismatchError,
     CapExceededError,
     CyclotomicElement,
     ElementaryMonomial,
@@ -52,6 +55,7 @@ from origami_rings import (
     Rational,
     UnitAngle,
     bracket,
+    coerce,
     euler_phi,
     find_scaling_projection,
     intersect,
@@ -64,6 +68,7 @@ from origami_rings.analysis import Certificate, CertTerm
 from origami_rings.density import DensityWitness
 from origami_rings.diophantine import _reduce, _replay
 from origami_rings.intervals import interval_context
+from origami_rings.scalars import _wrap
 
 # -- polynomials over Q ---------------------------------------------------------
 # Tuples of Fraction in ascending degree with no trailing zeros; the zero
@@ -903,8 +908,8 @@ def oracle_real_sign(x):
 
 def oracle_ceil_exact(x):
     """Ceiling of a real scalar, refining its interval enclosure until it is
-    narrower than 1 and climbing by units from ceil(lo) with exact sign
-    tests of x - n (`oracle_real_sign`)."""
+    narrower than 1 and taking at most two unit steps up from ceil(lo), each
+    an exact sign test of x - n (`oracle_real_sign`)."""
     if x.is_rational():
         return math.ceil(x.as_fraction())
     bits = 64
@@ -914,9 +919,11 @@ def oracle_ceil_exact(x):
             break
         bits *= 2
     n = math.ceil(lo)
-    while oracle_real_sign(x - n) > 0:
+    for _ in range(2):
+        if oracle_real_sign(x - n) <= 0:
+            return n
         n += 1
-    return n
+    raise AssertionError("ceiling above an enclosure narrower than 1")
 
 
 def oracle_least_exponent(p, c, half):
@@ -927,20 +934,45 @@ def oracle_least_exponent(p, c, half):
     return n
 
 
-def oracle_ceil(x):
-    """Ceiling of a real scalar, climbing by units from a 64-bit lower bound."""
-    if x.is_rational():
-        return math.ceil(x.as_fraction())
-    lo, _ = x.to_interval(64).real_bounds()
-    n = math.ceil(lo)
-    while real_sign(x - n) > 0:
-        n += 1
-    return n
+def oracle_combine(op, a, b):
+    """a op b for op one of + - * / ==, on the general path of mixed
+    operands: both made scalars (`_wrap`), brought into their common backend
+    (`coerce`), then combined by the `_same` hooks; values of two backends
+    that do not combine are equal when their canonical keys are."""
+    a, b = _wrap(a), _wrap(b)
+    try:
+        x, y = coerce(a, b)
+    except BackendMismatchError:
+        if op == "==":
+            return a.canonical_key() == b.canonical_key()
+        raise
+    if op == "==":
+        return x._eq_same(y)
+    if op == "+":
+        return x._add_same(y)
+    if op == "-":
+        return x._add_same(y.neg())
+    if op == "*":
+        return x._mul_same(y)
+    return x._mul_same(y.inv())
+
+
+def stored_form(x):
+    """What a scalar stores: its backend and its canonical integers (order,
+    numerators and denominator, or the polynomial pair N, D); other values
+    as they are."""
+    if isinstance(x, CyclotomicElement):
+        return "cyclotomic", x.order, x._num, x._den
+    if isinstance(x, ParamRational):
+        return "param", x._n, x._d
+    if isinstance(x, Rational):
+        return "rational", type(x.value), x.value.numerator, x.value.denominator
+    return x
 
 
 def oracle_witness(target_re, target_im, epsilon, angles):
     """The witness a*p**N1 + b*p**N2*z with the least exponents, from the
-    scans and the unit-climb ceilings above."""
+    scans and the enclosure ceilings above."""
     target_re, target_im, epsilon = Fraction(target_re), Fraction(target_im), Fraction(epsilon)
     p = find_scaling_projection(oracle_projection_set(angles))
     z = min(
@@ -951,9 +983,9 @@ def oracle_witness(target_re, target_im, epsilon, angles):
     abs_im = im_z if real_sign(im_z) > 0 else -im_z
     half = epsilon / 2
     n2 = oracle_least_exponent(p, abs_im, half)
-    b = oracle_ceil(target_im * oracle_inv(im_z * p**n2))
+    b = oracle_ceil_exact(target_im * oracle_inv(im_z * p**n2))
     n1 = oracle_least_exponent(p, Rational(1), half)
-    a = oracle_ceil((target_re - b * p**n2 * re_z) * oracle_inv(p**n1))
+    a = oracle_ceil_exact((target_re - b * p**n2 * re_z) * oracle_inv(p**n1))
     value = a * p**n1 + b * p**n2 * z
     return DensityWitness(
         target_re=target_re, target_im=target_im, epsilon=epsilon, p=p, z=z,

@@ -159,6 +159,39 @@ def test_construct_param_bad_specialization(capsys, fmt, arg):
     assert code == 0 and stdout
 
 
+INTERVAL_COMMANDS = [
+    ["construct", "--angles", EXAMPLE, "--depth", "1"],
+    ["construct", "--angles", EXAMPLE, "--depth", "1", "--format", "json"],
+    ["construct", "--angles", PARAM, "--depth", "1", "--format", "json"],
+    ["elementary", "--angles", EXAMPLE],
+    ["projections", "--angles", EXAMPLE],
+    ["check-ring", "--angles", THREE_RING],
+    ["density", "--angles", EXAMPLE, "--target", "1/3,1/2", "--epsilon", "1/10"],
+]
+
+
+@pytest.mark.parametrize("argv", INTERVAL_COMMANDS, ids=lambda argv: "-".join(argv[:1] + argv[-2:]))
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--precision", "0"], "interval precision below 8 bits"),
+        (["--precision", "7"], "interval precision below 8 bits"),
+        (["--param-arg", "garbage"], "bad specialization 'garbage'"),
+        (["--param-arg", "0.3"], "bad specialization '0.3'"),
+        (["--param-arg", "pi*x"], "Invalid literal for Fraction"),
+    ],
+)
+def test_every_command_refuses_unusable_interval_flags(capsys, argv, flags, message):
+    # whether or not the command encloses anything, it writes nothing and
+    # exits 2; the same command line with a usable value still runs
+    code, stdout, err = invoke(argv + flags, capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error:") and message in err
+    usable = ["--precision", "8"] if flags[0] == "--precision" else ["--param-arg", "pi*1/7"]
+    code, stdout, _ = invoke(argv + usable, capsys)
+    assert code == 0 and stdout
+
+
 def test_param_arg_help_states_grammar(capsys):
     code, stdout, _ = invoke(["construct", "--help"], capsys)
     assert code == 0

@@ -123,7 +123,7 @@ POOL = [
 
 @pytest.mark.parametrize("spec", POOL)
 def test_witness_matches_oracle(spec):
-    """Same witness, byte for byte, as the exponent scans and unit-climb
+    """Same witness, byte for byte, as the exponent scans and enclosure
     ceilings build, over epsilon 1e-1 .. 1e-8, the example set's exact ties
     and seeded targets."""
     angles = parse_angle_list(spec)[0]
@@ -139,6 +139,18 @@ def test_witness_matches_oracle(spec):
         for tre, tim in targets:
             got = approximate(tre, tim, eps, angles).to_obj()
             assert got == oracle_witness(tre, tim, eps, angles).to_obj()
+
+
+@pytest.mark.parametrize("spec", POOL)
+def test_tiny_epsilon_witness_matches_oracle(spec):
+    """The same at epsilon 1e-12, 1e-20 and 1e-30, where a and b have up to
+    about 30 digits."""
+    angles = parse_angle_list(spec)[0]
+    tre, tim = Fraction(1, 3), Fraction(-7, 5)
+    for k in (12, 20, 30):
+        eps = Fraction(1, 10**k)
+        got = approximate(tre, tim, eps, angles).to_obj()
+        assert got == oracle_witness(tre, tim, eps, angles).to_obj()
 
 
 def test_least_exponent_ties_and_fallback(monkeypatch):
