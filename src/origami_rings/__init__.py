@@ -46,7 +46,6 @@ from .scalars import (
     Rational,
     as_scalar,
     ceil_exact,
-    coerce,
     floor_exact,
     real_compare,
     real_imag_parts,
@@ -91,7 +90,6 @@ __all__ = [
     "ceil_exact",
     "check_ring",
     "closure_to_depth",
-    "coerce",
     "cyclotomic_polynomial",
     "elementary_monomials",
     "euler_phi",

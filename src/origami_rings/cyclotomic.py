@@ -28,7 +28,6 @@ from .intervals import (
     ZERO,
     ComplexInterval,
     Enclosures,
-    check_precision,
     interval_context,
     ratio_to_mpi,
 )
@@ -298,9 +297,6 @@ class CyclotomicElement(ExactScalar):
         m = math.lcm(self.order, other.order)
         return self.embed(m), other.embed(m)
 
-    def _promote(self, r: ExactScalar):
-        return CyclotomicElement.from_rational(r.as_fraction(), self.order)
-
     def _scale(self, q):
         a = q.numerator
         return CyclotomicElement._make(
@@ -455,26 +451,21 @@ class CyclotomicElement(ExactScalar):
         return lo, hi, self._den << bits
 
     def to_interval(self, bits: int, t_arg=None, memo=None) -> ComplexInterval:
-        """The sum over j of the terms c/den * zeta_n^j (`_term`).  A memo
-        keeps each term once, keyed by the order, j and c/den in lowest
-        terms (the form `ratio_to_mpi` encloses); a lone call encloses each
-        term directly, since no term recurs within one value."""
+        """The sum over j of the terms c/den * zeta_n^j (`_term`), each
+        enclosed once per memo, keyed by the order, j and c/den in lowest
+        terms (the form `ratio_to_mpi` encloses)."""
         if t_arg is not None:
             raise TypeError("specialization applies only to parametric scalars")
-        check_precision(bits)
+        terms = Enclosures.for_call(bits, None, memo).terms
         n, den = self.order, self._den
-        terms = None if memo is None else Enclosures.for_call(bits, None, memo).terms
         re = im = ZERO
         for j, c in enumerate(self._num):
             if c:
-                if terms is None:
-                    term = _term(n, j, c, den, bits)
-                else:
-                    g = math.gcd(c, den)
-                    key = (n, j, c // g, den // g)
-                    term = terms.get(key)
-                    if term is None:
-                        term = terms[key] = _term(n, j, key[2], key[3], bits)
+                g = math.gcd(c, den)
+                key = (n, j, c // g, den // g)
+                term = terms.get(key)
+                if term is None:
+                    term = terms[key] = _term(n, j, key[2], key[3], bits)
                 re = mpi_add(re, term[0], bits)
                 im = mpi_add(im, term[1], bits)
         return ComplexInterval._of(re, im, bits)

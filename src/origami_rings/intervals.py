@@ -114,7 +114,7 @@ class Enclosures:
     fill and read the tables, and sum each value's enclosure exactly as
     they would alone, so it keeps the same bits.
     An export holds one object for the whole call and a lone `to_interval`
-    call at most a fresh one: nothing is kept from one request to the next.
+    call a fresh one: nothing is kept from one request to the next.
     t_arg is the specialization angle of parametric values, None otherwise.
     """
 

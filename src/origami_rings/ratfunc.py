@@ -30,7 +30,7 @@ from .intervals import (
     interval_context,
     rational_to_iv,
 )
-from .scalars import ExactScalar, as_scalar, common_backend
+from .scalars import _FRACTION, ExactScalar, as_scalar, common_backend
 
 
 def _canonical(n, d):
@@ -134,9 +134,6 @@ class ParamRational(ExactScalar):
         return self._den
 
     # -- backend hooks ------------------------------------------------------
-
-    def _promote(self, r: ExactScalar):
-        return ParamRational.from_rational(r.as_fraction())
 
     # a/b * N/D and (b*N + a*D) / (b*D) stay coprime in Q[t] for a nonzero
     # a, since gcd(b*N + a*D, D) = gcd(N, D) = 1, so only the content changes
@@ -279,11 +276,12 @@ class ParamRational(ExactScalar):
 
 
 def pi_multiple(t_arg: str) -> Fraction:
-    """p/q of a specialization angle written "pi*p/q"; any other string
-    raises ValueError."""
-    if not t_arg.startswith("pi*"):
-        raise ValueError(f"bad specialization {t_arg!r}")
-    return Fraction(t_arg[3:])
+    """p/q of a specialization angle written "pi*p/q", for integers p and
+    q != 0 (`scalars._FRACTION`); any other string raises ValueError."""
+    ratio = t_arg[3:] if t_arg.startswith("pi*") else ""
+    if _FRACTION.fullmatch(ratio) and int(ratio.partition("/")[2] or 1):
+        return Fraction(ratio)
+    raise ValueError(f"bad specialization {t_arg!r}")
 
 
 def _unit_point(bits: int, t_arg) -> ComplexInterval:

@@ -1,12 +1,12 @@
-"""Exact scalar backends: shared base class, rational numbers, coercion.
+"""Exact scalar backends: shared base class, rational numbers, mixing.
 
 Every value that the geometry touches is an ExactScalar.  Concrete backends
 are Rational (here), CyclotomicElement and ParamRational, ranked in that
-order.  An int, Fraction or Rational operand scales or shifts the other
-value in place (`_scale`, `_shift`), with no field element built for it.
-Any other mix of backends combines in the highest-ranked backend among
-them, into which a rational value of another backend is promoted; any other
-mix raises BackendMismatchError (`common_backend`).
+order.  Values of one backend combine through its `_same` hooks.  Any other
+operand is folded into the value in place (`_scale`, `_shift`) as its
+Fraction: an int or Fraction, or a rational value of a lower-ranked
+backend; a non-rational value of a lower rank raises BackendMismatchError.
+`_operand` is that one rule, and `common_backend` applies it to bulk work.
 """
 
 from __future__ import annotations
@@ -23,42 +23,43 @@ from .intervals import ComplexInterval, Enclosures
 _MAX_SIGN_BITS = 1 << 20
 
 
-def _rational(x):
-    """The int or Fraction value of an int, Fraction or Rational operand;
-    None for any other."""
+def _operand(x, than):
+    """What x brings to an operation with the scalar `than`: an int or
+    Fraction as it is, the Fraction of a rational value of a lower-ranked
+    backend, and None for a value of the same or a higher rank, which takes
+    `than` in instead.  A non-rational value of a lower rank raises
+    BackendMismatchError."""
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, Rational):
-        return x.value
-    return None
+    if x._rank >= than._rank:
+        return None
+    if not x.is_rational():
+        names = type(than).__name__, type(x).__name__
+        raise BackendMismatchError("cannot combine %s with %s" % names)
+    return x.as_fraction()
 
 
 def _operators(same, rational):
     """The forward and reflected methods of one binary operator of
-    ExactScalar: same(a, b) combines two values of one backend,
-    rational(x, q, x_first) a value x with an int, Fraction or Rational
-    operand's value q, on either side (x_first: x is the left operand), and
-    any other mix goes through `coerce`."""
+    ExactScalar: same(a, b) combines two values of one backend, and
+    rational(x, q, x_first) a value x with the int or Fraction q that the
+    other operand brings (`_operand`), on either side (x_first: x is the
+    left operand)."""
 
     def forward(self, other):
         if type(other) is type(self):
             return same(*self._merge(other))
-        q = _rational(other)
+        if not isinstance(other, (int, Fraction, ExactScalar)):
+            return NotImplemented
+        q = _operand(other, self)
         if q is not None:
             return rational(self, q, True)
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        if isinstance(self, Rational):
-            return rational(other, self.value, False)
-        return same(*coerce(self, other))
+        return rational(other, _operand(self, other), False)
 
     def reflected(self, other):
-        q = _rational(other)
-        if q is not None:
-            return rational(self, q, False)
-        if not isinstance(other, ExactScalar):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return same(*coerce(other, self))
+        return rational(self, other, False)
 
     return forward, reflected
 
@@ -81,7 +82,7 @@ class ExactScalar:
     """
 
     __slots__ = ()
-    _rank = 0  # the order in which backends combine (`common_backend`)
+    _rank = 0  # the order in which backends combine (`_operand`)
 
     # -- hooks ------------------------------------------------------------
 
@@ -104,10 +105,6 @@ class ExactScalar:
 
     def _shift(self, q):
         """The value plus the int or Fraction q."""
-        raise NotImplementedError
-
-    def _promote(self, r: "ExactScalar"):
-        """Lift a rational value of a lower-ranked backend into this one."""
         raise NotImplementedError
 
     def neg(self):
@@ -161,12 +158,6 @@ class ExactScalar:
     def is_integer(self) -> bool:
         return self.is_rational() and self.as_fraction().denominator == 1
 
-    def one_like(self):
-        return self._promote(Rational(1))
-
-    def zero_like(self):
-        return self._promote(Rational(0))
-
     # -- operators ----------------------------------------------------------
 
     __add__, __radd__ = _operators(
@@ -192,7 +183,7 @@ class ExactScalar:
         if n < 0:
             return self.inv() ** (-n)
         if n == 0:
-            return self.one_like()
+            return self._scale(0)._shift(1)
         result, base = None, self
         while True:
             if n & 1:
@@ -206,20 +197,14 @@ class ExactScalar:
         if type(other) is type(self):
             a, b = self._merge(other)
             return a._eq_same(b)
-        q = _rational(other)
-        if q is not None:
-            return self.is_rational() and self.as_fraction() == q
-        if not isinstance(other, ExactScalar):
+        if isinstance(other, ExactScalar):
+            # values of two backends agree only on shared rationals
+            if not other.is_rational():
+                return False
+            other = other.as_fraction()
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if isinstance(self, Rational):
-            return other.is_rational() and other.as_fraction() == self.value
-        try:
-            a, b = coerce(self, other)
-        except BackendMismatchError:
-            # distinct non-rational backends agree only on shared rationals,
-            # which the canonical key captures
-            return self.canonical_key() == other.canonical_key()
-        return a._eq_same(b)
+        return self.is_rational() and self.as_fraction() == other
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -263,9 +248,6 @@ class Rational(ExactScalar):
 
     def _shift(self, q):
         return Rational(self.value + q)
-
-    def _promote(self, r):
-        return r
 
     def neg(self):
         return Rational(-self.value)
@@ -316,41 +298,23 @@ class Rational(ExactScalar):
         return f"Rational({self.value})"
 
 
-def _wrap(x):
-    """Accept ExactScalar, int or Fraction operands; None otherwise."""
+def as_scalar(x) -> ExactScalar:
+    """x as an ExactScalar: an int or Fraction made a Rational."""
     if isinstance(x, ExactScalar):
         return x
     if isinstance(x, (int, Fraction)):
         return Rational(x)
-    return None
-
-
-def as_scalar(x) -> ExactScalar:
-    s = _wrap(x)
-    if s is None:
-        raise TypeError(f"cannot interpret {x!r} as an exact scalar")
-    return s
-
-
-def coerce(a: ExactScalar, b: ExactScalar):
-    """Bring two scalars into their `common_backend`."""
-    if type(a) is type(b):
-        return a._merge(b)
-    if common_backend((a, b)) is type(b):
-        return b._promote(a), b
-    return a, a._promote(b)
+    raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 
 def common_backend(values) -> type:
-    """The highest-ranked backend among values (Rational for none), into
-    which every other value is promoted; a non-rational one raises
+    """The highest-ranked backend among values (Rational for none), which
+    takes every other value in by `_operand`; a non-rational one raises
     BackendMismatchError."""
     values = list(values)
     top = max(values, key=lambda v: v._rank, default=Rational(0))
     for v in values:
-        if v._rank < top._rank and not v.is_rational():
-            names = type(top).__name__, type(v).__name__
-            raise BackendMismatchError("cannot combine %s with %s" % names)
+        _operand(v, top)
     return type(top)
 
 
@@ -479,10 +443,8 @@ def real_imag_parts(x):
     scalars are rejected: their coefficient field has no imaginary unit.
     """
     x = as_scalar(x)
-    if isinstance(x, Rational):
-        return x, Rational(0)
     if x.is_real():
-        return x, x.zero_like()
+        return x, x._scale(0)
     from .cyclotomic import AmbientField, CyclotomicElement
 
     if not isinstance(x, CyclotomicElement):

@@ -22,9 +22,11 @@ decided on complex interval enclosures at doubling precision
 `part_bounds`.  Density witnesses take their exponents from a scan
 n = 0, 1, 2, ... (`oracle_least_exponent`) and their ceilings from
 `oracle_ceil_exact`; `oracle_witness` puts them together from the oracle
-projection set and monomials.  Arithmetic with a rational operand goes
-through `coerce` and the `_same` hooks of the common backend
-(`oracle_combine`), where the operators scale or shift in place.
+projection set and monomials.  Mixed arithmetic promotes the operand of
+the lower backend, in the fixed order Rational < cyclotomic < parametric,
+by the higher backend's `from_rational` (`oracle_coerce`) and combines by
+the `_same` hooks (`oracle_combine`), where the operators fold an operand
+into the other value in place.
 The cyclotomic inverse multiplies all other Galois conjugates
 (`oracle_inv`).  Phi_n is x^n - 1 divided by Phi_d for every proper
 divisor d, over Q (`oracle_cyclotomic_polynomial`) and in Z[x]
@@ -55,7 +57,6 @@ from origami_rings import (
     Rational,
     UnitAngle,
     bracket,
-    coerce,
     euler_phi,
     find_scaling_projection,
     intersect,
@@ -68,7 +69,6 @@ from origami_rings.analysis import Certificate, CertTerm
 from origami_rings.density import DensityWitness
 from origami_rings.diophantine import _reduce, _replay
 from origami_rings.intervals import interval_context
-from origami_rings.scalars import _wrap
 
 # -- polynomials over Q ---------------------------------------------------------
 # Tuples of Fraction in ascending degree with no trailing zeros; the zero
@@ -934,14 +934,41 @@ def oracle_least_exponent(p, c, half):
     return n
 
 
+ORACLE_BACKENDS = (Rational, CyclotomicElement, ParamRational)
+
+
+def oracle_coerce(a, b):
+    """Scalars a and b in one backend: the later of the two in
+    `ORACLE_BACKENDS`, into which the other is promoted (`oracle_promote`)."""
+    if type(a) is type(b):
+        return a._merge(b)
+    rank = ORACLE_BACKENDS.index
+    if rank(type(a)) > rank(type(b)):
+        return a, oracle_promote(b, a)
+    return oracle_promote(a, b), b
+
+
+def oracle_promote(r, into):
+    """A rational value r in the backend of `into`, by its `from_rational`
+    (at the order of `into`, for a cyclotomic one); a non-rational r raises
+    BackendMismatchError."""
+    if not r.is_rational():
+        names = type(into).__name__, type(r).__name__
+        raise BackendMismatchError("cannot combine %s with %s" % names)
+    if isinstance(into, CyclotomicElement):
+        return CyclotomicElement.from_rational(r.as_fraction(), into.order)
+    return ParamRational.from_rational(r.as_fraction())
+
+
 def oracle_combine(op, a, b):
     """a op b for op one of + - * / ==, on the general path of mixed
-    operands: both made scalars (`_wrap`), brought into their common backend
-    (`coerce`), then combined by the `_same` hooks; values of two backends
-    that do not combine are equal when their canonical keys are."""
-    a, b = _wrap(a), _wrap(b)
+    operands: an int or Fraction made a Rational, both brought into one
+    backend (`oracle_coerce`), then combined by the `_same` hooks; values of
+    two backends that do not combine are equal when their canonical keys
+    are."""
+    a, b = (Rational(v) if isinstance(v, (int, Fraction)) else v for v in (a, b))
     try:
-        x, y = coerce(a, b)
+        x, y = oracle_coerce(a, b)
     except BackendMismatchError:
         if op == "==":
             return a.canonical_key() == b.canonical_key()

@@ -178,7 +178,10 @@ INTERVAL_COMMANDS = [
         (["--precision", "7"], "interval precision below 8 bits"),
         (["--param-arg", "garbage"], "bad specialization 'garbage'"),
         (["--param-arg", "0.3"], "bad specialization '0.3'"),
-        (["--param-arg", "pi*x"], "Invalid literal for Fraction"),
+        (["--param-arg", "pi*x"], "bad specialization 'pi*x'"),
+        (["--param-arg", "pi* 1e-1"], "bad specialization 'pi* 1e-1'"),
+        (["--param-arg", "pi*0.5"], "bad specialization 'pi*0.5'"),
+        (["--param-arg", "pi*1/0"], "bad specialization 'pi*1/0'"),
     ],
 )
 def test_every_command_refuses_unusable_interval_flags(capsys, argv, flags, message):

@@ -1,4 +1,4 @@
-"""Scalar protocol: rational backend, coercion, exact predicates."""
+"""Scalar protocol: rational backend, mixing of backends, exact predicates."""
 
 import math
 import operator
@@ -15,7 +15,6 @@ from origami_rings import (
     ParamRational,
     Rational,
     ceil_exact,
-    coerce,
     floor_exact,
     real_compare,
     real_imag_parts,
@@ -100,11 +99,11 @@ def test_param_cyclotomic_mix_rejected():
     z = root_of_unity(4, 1)
     with pytest.raises(BackendMismatchError):
         _ = t + z
-    # equality across backends still answers (via canonical keys) instead of raising
+    # equality across backends still answers instead of raising
     assert t != z
 
 
-def test_coerce_mixes_backends_as_bulk_field_does():
+def test_operators_mix_backends_as_bulk_field_does():
     # a rational stored in a cyclotomic field goes with t, in arithmetic as in
     # bulk work; a non-rational cyclotomic value never does
     t = ParamRational.t_power(1)
@@ -116,11 +115,9 @@ def test_coerce_mixes_backends_as_bulk_field_does():
                 bulk_field([a, b])
             except BackendMismatchError:
                 with pytest.raises(BackendMismatchError):
-                    coerce(a, b)
+                    a + b
             else:
-                x, y = coerce(a, b)
-                assert type(x) is type(y)
-                assert (x, y) == (a, b)
+                assert stored_form(a + b) == stored_form(oracle_combine("+", a, b))
     assert t + one == t + 1
     assert isinstance(one + t, ParamRational)
 
@@ -159,6 +156,11 @@ def test_real_imag_parts():
     assert re + im * i == val
     with pytest.raises(BackendMismatchError):
         real_imag_parts(ParamRational.t_power(2))
+    # a real value is its own real part, over a zero of its own backend
+    t = ParamRational.t_power(1)
+    for x, zero in ((Fraction(3, 5), Rational(0)), (t + t.inv(), ParamRational.from_rational(0))):
+        re, im = real_imag_parts(x)
+        assert re == x and stored_form(im) == stored_form(zero)
 
 
 def test_real_imag_parts_match_the_inverse_of_2i():
@@ -260,7 +262,7 @@ def rational_operands(rng, sample=False):
 
 
 def assert_matches_oracle(x, y):
-    """Every operator on (x, y) and on (y, x) stores what the coerce path
+    """Every operator on (x, y) and on (y, x) stores what `oracle_combine`
     stores, or raises the same error."""
     for a, b in ((x, y), (y, x)):
         for op, fn in OPS.items():
@@ -283,8 +285,9 @@ def random_param(rng):
             return ParamRational(num, den)
 
 
-def test_rational_operands_match_the_coerce_path_cyclotomic(monkeypatch):
-    # both paths divide by a value through the same inverse, computed once
+def test_rational_operands_match_the_oracle_cyclotomic(monkeypatch):
+    # the operators and the oracle divide by a value through the same
+    # inverse, computed once
     inverses = {}
     inv = CyclotomicElement.inv
 
@@ -309,7 +312,7 @@ def test_rational_operands_match_the_coerce_path_cyclotomic(monkeypatch):
                 assert_matches_oracle(x, q)
 
 
-def test_rational_operands_match_the_coerce_path_param():
+def test_rational_operands_match_the_oracle_param():
     rng = random.Random(25)
     t = ParamRational.t_power(1)
     values = [random_param(rng) for _ in range(40)]
@@ -317,8 +320,8 @@ def test_rational_operands_match_the_coerce_path_param():
     for x in values:
         for q in rational_operands(rng):
             assert_matches_oracle(x, q)
-    # values of two backends keep the coerce path: a rational-valued
-    # cyclotomic value combines with t, a non-rational one raises
+    # a rational-valued cyclotomic value combines with t, a non-rational one
+    # raises
     for y in (CyclotomicElement.from_rational(Fraction(5, 3), 12), root_of_unity(12, 1)):
         for x in (t, values[0], ParamRational.from_rational(2)):
             assert_matches_oracle(x, y)
@@ -357,10 +360,15 @@ def test_pow_matches_repeated_products():
     rng = random.Random(27)
     for order in (1, 5, 12, 60):
         x = random_cyclo(rng, order)
-        want = x.one_like()
+        want = CyclotomicElement.from_rational(1, order)
         for n in range(10):
             assert stored_form(x**n) == stored_form(want)
             want = want * x
+    x = random_param(rng)
+    want = ParamRational.from_rational(1)
+    for n in range(4):
+        assert stored_form(x**n) == stored_form(want)
+        want = want * x
 
 
 def test_is_real_matches_the_conjugate():
@@ -369,3 +377,30 @@ def test_is_real_matches_the_conjugate():
         x = random_cyclo(rng, order)
         for v in (x, x + x.conj(), x * x.conj(), x - x.conj()):
             assert v.is_real() == (v == v.conj())
+
+
+def test_mixing_rule_matches_the_oracle_table():
+    # every pair of an int, a Fraction, a Rational, rational and non-rational
+    # cyclotomic values and rational and non-rational parametric values, on
+    # both sides of + - * / == !=: the same stored form and type as the
+    # oracle, and BackendMismatchError exactly where it raises
+    t = ParamRational.t_power(1)
+    operands = [3, Fraction(-2, 5), Rational(Fraction(7, 3)), CyclotomicElement.from_rational(Fraction(5, 3))]
+    for order in (12, 120):
+        operands += [
+            CyclotomicElement.from_rational(Fraction(-4, 9), order),
+            root_of_unity(order, 1) + Fraction(1, 2),
+        ]
+    operands += [ParamRational.from_rational(Fraction(3, 4)), (t + 2) / (t - 3)]
+    mismatches = 0
+    for i, x in enumerate(operands):
+        for y in operands[i:]:
+            if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+                continue
+            assert_matches_oracle(x, y)
+            try:
+                oracle_combine("+", x, y)
+            except BackendMismatchError:
+                mismatches += 1
+    # the two non-rational cyclotomic values against the two parametric ones
+    assert mismatches == 4
