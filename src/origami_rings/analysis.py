@@ -19,7 +19,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .construction import nontrivial_monomials, projection_set
+from .construction import nontrivial_monomials, nontrivial_projections
 from .diophantine import RationalRowSolver
 from .errors import CapExceededError, UnsupportedConfigurationError
 from .geometry import AngleSet, UnitAngle, angle_arg_compare, intersect
@@ -370,9 +370,10 @@ class Unknown:
 def ring_context(angles: AngleSet) -> RingContext:
     """The generators and projections of a verdict, from the angles alone:
     1 followed by the values of `nontrivial_monomials`, and for four or more
-    directions P = `projection_set(angles).nontrivial`.  Three directions
-    give generators (1, x), x = intersect(nu_0, nu_1, 0, 1) the one
-    nontrivial value, and no projections.  An angle set without the real
+    directions P = `nontrivial_projections(angles)`, which the angle set
+    holds once built; the full projection set is never formed.  Three
+    directions give generators (1, x), x = intersect(nu_0, nu_1, 0, 1) the
+    one nontrivial value, and no projections.  An angle set without the real
     axis, or with fewer than three directions, raises
     UnsupportedConfigurationError.
     """
@@ -386,7 +387,7 @@ def ring_context(angles: AngleSet) -> RingContext:
         nu = angles.non_unit()
         return RingContext(angles, (Rational(1), intersect(nu[0], nu[1], 0, 1)), ())
     generators = (Rational(1),) + tuple(m.value for m in nontrivial_monomials(angles))
-    return RingContext(angles, generators, projection_set(angles).nontrivial)
+    return RingContext(angles, generators, nontrivial_projections(angles))
 
 
 def check_ring(angles: AngleSet, degree_bound: int = 3):

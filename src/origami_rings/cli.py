@@ -306,15 +306,24 @@ def cmd_lattice_eq(args) -> int:
     return 0 if equal else 3
 
 
+def _rational_flag(flag: str, text: str, part: str) -> Fraction:
+    """Fraction(part), where part is read from the value text of flag; a
+    value Fraction refuses raises ValueError naming the flag."""
+    try:
+        return Fraction(part)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ValueError(f"bad rational in {flag} {text!r}") from err
+
+
 def cmd_density(args) -> int:
     angle_set = _angles_arg(args)
     parts = args.target.split(",")
     if len(parts) != 2:
         print(f"error: --target must be 're,im', got {args.target!r}", file=sys.stderr)
         return 2
-    witness = approximate(
-        Fraction(parts[0]), Fraction(parts[1]), Fraction(args.epsilon), angle_set
-    )
+    target = [_rational_flag("--target", args.target, part) for part in parts]
+    epsilon = _rational_flag("--epsilon", args.epsilon, args.epsilon)
+    witness = approximate(*target, epsilon, angle_set)
     meta = _config_header(args, "density")
     obj = witness.to_obj()
     re_lo, re_hi, im_lo, im_hi = witness.value_interval(args.precision).endpoint_strings()

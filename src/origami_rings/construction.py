@@ -20,7 +20,7 @@ from operator import sub
 
 from .cyclotomic import field_order
 from .errors import CapExceededError
-from .geometry import AngleSet, UnitAngle, pair_multipliers
+from .geometry import AngleSet, UnitAngle, pair_multipliers, slide_to_axis
 from .ratfunc import bulk_field
 from .scalars import ExactScalar, Rational, as_scalar
 
@@ -212,14 +212,16 @@ def nontrivial_monomials(angles: AngleSet) -> tuple[ElementaryMonomial, ...]:
 
 @dataclass(frozen=True)
 class ProjectionSet:
-    """Real-axis projections of the elementary monomials.
+    """Real-axis projections of the elementary monomials, as the
+    ``projections`` command reports them.
 
     ``projections`` is the full set including the trivial values 0 and 1;
-    ``nontrivial`` keeps only projections of nontrivial monomials that are
-    themselves neither 0 nor 1.  For four directions containing the real
-    axis, ``x`` is the projection of the widest intersection along the middle
-    direction, and ``family`` is its closure under inversion x -> 1/x, the
-    slide x -> x/(x-1), and complements: every projection lies there.
+    ``nontrivial`` is P, the projections of nontrivial monomials that are
+    themselves neither 0 nor 1 (`nontrivial_projections`).  For four
+    directions containing the real axis, ``x`` is the projection of the
+    widest intersection along the middle direction, and ``family`` is its
+    closure under inversion x -> 1/x, the slide x -> x/(x-1), and
+    complements: every projection lies there.
     """
 
     projections: tuple[ExactScalar, ...]
@@ -243,73 +245,91 @@ def _x_family(x, projections: dict) -> tuple:
     return family
 
 
-def projection_set(angles: AngleSet) -> ProjectionSet:
-    """The projection set of the angle set, built once per instance
-    (`_projection_set`) and then held on it."""
+def _slides(angles: AngleSet):
+    """(field, den, slides): the rows of `pair_multipliers` for the pairs
+    (1, gamma), gamma the non-axis directions, whose x slides a value to the
+    real axis along gamma (`slide_to_axis`).  Those pairs lead the angle
+    set's elementary table when the axis is in the set.  Every projection
+    of an elementary value sits over den, the product of the table's
+    denominator and that of the slides."""
+    nu = angles.non_unit()
+    field, d, multipliers = angles._elementary_table()[:3]
+    if angles.contains_one():
+        s, slides = d, multipliers[: len(nu)]
+    else:
+        s, slides = pair_multipliers([(UnitAngle.real_axis(), g) for g in nu], field)
+    return field, d * s, slides
+
+
+def _project(field, den, slides, monomials) -> dict:
+    """Per distinct projection of `monomials` (elementary values over the
+    table's denominator) other than 0 and 1, its numerator tuple over den
+    mapped to the order the scalar formula gives it where first met: the
+    lcm of the orders of the monomial's pair and of the direction."""
+    zero = (0,) * field.degree
+    one = (den,) + zero[1:]
+    table = {}
+    for mono, (_, _, order) in monomials.items():
+        for slide, _, _, g_order in slides:
+            v = slide_to_axis(field, slide, mono)
+            if v != zero and v != one:
+                table.setdefault(v, math.lcm(order, g_order))
+    return table
+
+
+def _scalars_by_key(field, den, table: dict) -> dict:
+    """The scalars of `table`'s vectors over den, each at its order, by
+    canonical key."""
+    values = (field.element(v, den, order) for v, order in table.items())
+    return {value.canonical_key(): value for value in values}
+
+
+def _in_key_order(values: dict) -> tuple:
+    return tuple(values[k] for k in sorted(values))
+
+
+def nontrivial_projections(angles: AngleSet) -> tuple[ExactScalar, ...]:
+    """P: the projections of the nontrivial monomials along the non-axis
+    directions that are neither 0 nor 1, in canonical-key order.  Built
+    once per instance on the vectors of the angle set's elementary table
+    (`AngleSet._elementary_table`) and then held on it; only the distinct
+    vectors become scalars and get keys."""
     if angles._projections is None:
-        angles._projections = _projection_set(angles)
+        field, den, slides = _slides(angles)
+        table = _project(field, den, slides, angles._elementary_table()[4])
+        angles._projections = _in_key_order(_scalars_by_key(field, den, table))
     return angles._projections
+
+
+def projection_set(angles: AngleSet) -> ProjectionSet:
+    """The full projection set of the angle set (`_projection_set`), built
+    on each call; its ``nontrivial`` is `nontrivial_projections`."""
+    return _projection_set(angles)
 
 
 def _projection_set(angles: AngleSet) -> ProjectionSet:
     """The projection set, computed on the vectors of the angle set's
     elementary table (`AngleSet._elementary_table`), for numeric and
-    parametric sets alike.
-
-    The projection of an elementary value v along a non-axis direction gamma
-    is -(w + conj(w)) with w = x*conj(v), x the multiplier of the pair
-    (1, gamma), as in `project_to_real_axis`; those pairs lead the table when
-    the axis is in the set.  All projections sit over one denominator, so
-    their numerator tuples name them; only the distinct ones become scalars,
-    each at the order the scalar formula gives it, the lcm of the orders of
-    its first pair and of the direction.
-    """
-    nu = angles.non_unit()
-    field, d, multipliers, elementary, nontrivial = angles._elementary_table()
-    if angles.contains_one():
-        s, slides = d, multipliers[: len(nu)]
-    else:
-        s, slides = pair_multipliers([(UnitAngle.real_axis(), g) for g in nu], field)
-    zero = (0,) * field.degree
-    # projections over d*s: per monomial the vector along each direction, and
-    # per distinct vector its order in `projections` and in `nontrivial`
-    den = d * s
-    one = (den,) + zero[1:]
-    along, table = {}, {}
-    for mono, (_, _, order) in elementary.items():
-        conj = field.conj(mono)
-        along[mono] = row = []
-        for slide, _, _, g_order in slides:
-            w = field.mul(slide, conj)
-            v = tuple(-(p + q) for p, q in zip(w, field.conj(w)))
-            row.append(v)
-            if v != zero and v != one:
-                table.setdefault(v, [math.lcm(order, g_order), None])
-    for mono, (_, _, order) in nontrivial.items():
-        for v, (_, _, _, g_order) in zip(along[mono], slides):
-            if v != zero and v != one and table[v][1] is None:
-                table[v][1] = math.lcm(order, g_order)
+    parametric sets alike: every elementary value slid to the axis along
+    every non-axis direction, 0 and 1 added, and the x-family checked
+    (`_x_family`)."""
+    field, den, slides = _slides(angles)
+    multipliers, elementary = angles._elementary_table()[2:4]
     all_proj = {Rational(0).canonical_key(): Rational(0), Rational(1).canonical_key(): Rational(1)}
-    nontrivial_proj = {}
-    for v, (order, nt_order) in table.items():
-        value = field.element(v, den, order)
-        key = value.canonical_key()
-        all_proj[key] = value
-        if nt_order is not None:
-            nontrivial_proj[key] = value if nt_order == order else field.element(v, den, nt_order)
+    all_proj.update(_scalars_by_key(field, den, _project(field, den, slides, elementary)))
     x = family = None
-    if len(nu) == 3 and angles.contains_one():
+    if len(slides) == 3 and angles.contains_one():
         # directions 1 and 3, after the axis, meet widest (the fifth of the
         # six pairs); project along 2
         x1, _, y2, order = multipliers[4]
-        cand = along[tuple(map(sub, y2, x1))][1]
-        if cand != zero and cand != one:
+        cand = slide_to_axis(field, slides[1][0], tuple(map(sub, y2, x1)))
+        zero = (0,) * field.degree
+        if cand != zero and cand != (den,) + zero[1:]:
             x = field.element(cand, den, math.lcm(order, slides[1][3]))
             family = _x_family(x, all_proj)
-    by_key = lambda values: tuple(values[k] for k in sorted(values))
     return ProjectionSet(
-        projections=by_key(all_proj),
-        nontrivial=by_key(nontrivial_proj),
+        projections=_in_key_order(all_proj),
+        nontrivial=nontrivial_projections(angles),
         x=x,
         family=family,
     )

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construction import ProjectionSet, nontrivial_monomials, projection_set
+from .construction import nontrivial_monomials, nontrivial_projections
 from .cyclotomic import field_order
 from .errors import ScalingProjectionNotFoundError, UnsupportedConfigurationError
 from .geometry import AngleSet
@@ -31,14 +31,16 @@ from .scalars import (
 log = logging.getLogger(__name__)
 
 
-def find_scaling_projection(projections: ProjectionSet) -> ExactScalar:
-    """First projection-derived value strictly inside (0, 1).
+def find_scaling_projection(projections) -> ExactScalar:
+    """First projection-derived value strictly inside (0, 1), from P, a
+    sequence of projections in canonical-key order
+    (`nontrivial_projections`).
 
-    Tiers, each walked in canonical-key order: the nontrivial projection
-    values themselves, their complements 1 - p, then products of two values
-    from the union of both.  Sign tests are exact.
+    Tiers, each walked in canonical-key order: the projection values
+    themselves, their complements 1 - p, then products of two values from
+    the union of both.  Sign tests are exact.
     """
-    pool = list(projections.nontrivial)
+    pool = list(projections)
     if not pool:
         raise ScalingProjectionNotFoundError("no nontrivial projections")
     if any(isinstance(p, ParamRational) for p in pool):
@@ -182,7 +184,7 @@ def approximate(target_re, target_im, epsilon, angles: AngleSet) -> DensityWitne
         raise UnsupportedConfigurationError(
             "density needs numeric directions; specialize the parameter first"
         )
-    p = find_scaling_projection(projection_set(angles))
+    p = find_scaling_projection(nontrivial_projections(angles))
     candidates = [
         m.value for m in nontrivial_monomials(angles) if not m.value.is_real()
     ]

@@ -76,16 +76,28 @@ def intersect(alpha: UnitAngle, beta: UnitAngle, p, q) -> ExactScalar:
 def project_to_real_axis(z, along: UnitAngle) -> ExactScalar:
     """Slide z to the real axis along the direction gamma of `along`.
 
-    That is intersect(1, gamma, 0, z) = -[gamma, z]/[1, gamma], which is
-    -(w + conj(w)) for w = x*conj(z) and x = gamma/(conj(gamma) - gamma), the
-    x of `pair_multipliers` for the pair (1, gamma).  The operands are those
-    of the intersect call, so the value is stored at the same order.
+    That is intersect(1, gamma, 0, z), computed by `slide_to_axis` on the
+    vectors of the bulk field of gamma and z with the x of
+    `pair_multipliers` for the pair (1, gamma).  The value is stored at the
+    order of that intersect call, lcm(ord gamma, ord z).
     """
     if along.is_one():
         raise ParallelLinesError("projection direction is parallel to the axis")
-    g = along.value
-    w = g * (g.conj() - g).inv() * as_scalar(z).conj()
-    return -(w + w.conj())
+    z = as_scalar(z)
+    field = bulk_field((along.value, z))
+    d, ((x, _, _, order),) = pair_multipliers([(UnitAngle.real_axis(), along)], field)
+    (v,), g = field.vectors([z])
+    return field.element(slide_to_axis(field, x, v), d * g, math.lcm(order, field_order(z)))
+
+
+def slide_to_axis(field, x, v) -> tuple:
+    """The vector v of `field` slid to the real axis along a direction gamma:
+    -[gamma, v]/[1, gamma] = -(w + conj(w)) with w = x*conj(v), where
+    x = gamma/(conj(gamma) - gamma) is the x of `pair_multipliers` for the
+    pair (1, gamma).  The result sits over the product of the denominators
+    of x and v."""
+    w = field.mul(x, field.conj(v))
+    return tuple(-(p + q) for p, q in zip(w, field.conj(w)))
 
 
 def pair_multipliers(pairs, field) -> tuple[int, list[tuple]]:
@@ -181,7 +193,7 @@ class AngleSet:
             sorted(wrapped, key=functools.cmp_to_key(angle_arg_compare))
         )
         self._table = None
-        self._projections = None  # `construction.projection_set`, once built
+        self._projections = None  # `construction.nontrivial_projections`, once built
 
     def contains_one(self) -> bool:
         return any(a.is_one() for a in self.angles)

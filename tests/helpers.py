@@ -11,7 +11,9 @@ integer solve multiplies out the dense V*y from it (`oracle_linear_solve`),
 and the rational row solver scales rows of Fractions and solves with that
 (`OracleRationalRowSolver`).  `diagonalize` is the one helper built on the
 production kernel (`_reduce`, then `_replay` on every column), so that its
-U, D and V can be checked against the oracle's.  Membership rebuilds the solver's columns as
+U, D and V can be checked against the oracle's; likewise
+`oracle_vector_projection_set`, the one-pass vector projection set that
+P's own builder replaced, runs on the production elementary table.  Membership rebuilds the solver's columns as
 scalar products (`membership_columns`) and assembles a fresh Fraction
 coordinate matrix for every target: parametric targets over the target's
 and the columns' denominators, cyclotomic ones at the lcm of the target's
@@ -68,6 +70,7 @@ from origami_rings._polys import zdiv
 from origami_rings.analysis import Certificate, CertTerm
 from origami_rings.density import DensityWitness
 from origami_rings.diophantine import _reduce, _replay
+from origami_rings.geometry import pair_multipliers
 from origami_rings.intervals import interval_context
 
 # -- polynomials over Q ---------------------------------------------------------
@@ -867,6 +870,57 @@ def oracle_projection_set(angles):
     )
 
 
+def oracle_vector_projection_set(angles):
+    """The projection set in one pass on the vectors of the elementary
+    table, as `construction.projection_set` built it before P had a builder
+    of its own: every elementary value projected along every direction,
+    with the order of each distinct nontrivial value noted in the same
+    pass.  The family is not checked against the projections."""
+    nu = angles.non_unit()
+    field, d, multipliers, elementary, nontrivial = angles._elementary_table()
+    if angles.contains_one():
+        s, slides = d, multipliers[: len(nu)]
+    else:
+        s, slides = pair_multipliers([(UnitAngle.real_axis(), g) for g in nu], field)
+    zero = (0,) * field.degree
+    den = d * s
+    one = (den,) + zero[1:]
+    along, table = {}, {}
+    for mono, (_, _, order) in elementary.items():
+        conj = field.conj(mono)
+        along[mono] = row = []
+        for slide, _, _, g_order in slides:
+            w = field.mul(slide, conj)
+            v = tuple(-(p + q) for p, q in zip(w, field.conj(w)))
+            row.append(v)
+            if v != zero and v != one:
+                table.setdefault(v, [math.lcm(order, g_order), None])
+    for mono, (_, _, order) in nontrivial.items():
+        for v, (_, _, _, g_order) in zip(along[mono], slides):
+            if v != zero and v != one and table[v][1] is None:
+                table[v][1] = math.lcm(order, g_order)
+    all_proj = {Rational(0).canonical_key(): Rational(0), Rational(1).canonical_key(): Rational(1)}
+    nontrivial_proj = {}
+    for v, (order, nt_order) in table.items():
+        value = field.element(v, den, order)
+        key = value.canonical_key()
+        all_proj[key] = value
+        if nt_order is not None:
+            nontrivial_proj[key] = value if nt_order == order else field.element(v, den, nt_order)
+    x = family = None
+    if len(nu) == 3 and angles.contains_one():
+        x1, _, y2, order = multipliers[4]
+        cand = along[tuple(y - z for y, z in zip(y2, x1))][1]
+        if cand != zero and cand != one:
+            x = field.element(cand, den, math.lcm(order, slides[1][3]))
+            orbit = (x, x.inv(), x * (x - 1).inv())
+            family = orbit + tuple(1 - f for f in orbit)
+    by_key = lambda values: tuple(values[k] for k in sorted(values))
+    return ProjectionSet(
+        projections=by_key(all_proj), nontrivial=by_key(nontrivial_proj), x=x, family=family
+    )
+
+
 def oracle_evaluate_certificate(cert, generators, projections):
     """Sum of coefficient * generator * product of projection powers, term by
     term on scalars."""
@@ -1001,7 +1055,7 @@ def oracle_witness(target_re, target_im, epsilon, angles):
     """The witness a*p**N1 + b*p**N2*z with the least exponents, from the
     scans and the enclosure ceilings above."""
     target_re, target_im, epsilon = Fraction(target_re), Fraction(target_im), Fraction(epsilon)
-    p = find_scaling_projection(oracle_projection_set(angles))
+    p = find_scaling_projection(oracle_projection_set(angles).nontrivial)
     z = min(
         (m.value for m in oracle_nontrivial_monomials(angles) if not m.value.is_real()),
         key=lambda v: v.canonical_key(),

@@ -767,6 +767,33 @@ def test_density_bad_target(capsys):
     assert code == 2
 
 
+def test_density_bad_rational_names_its_flag(capsys):
+    for target, epsilon, err in (
+        ("1/3,1/2", "1/0", "bad rational in --epsilon '1/0'"),
+        ("1/3,1/2", "inf", "bad rational in --epsilon 'inf'"),
+        ("1/3,1/2", "", "bad rational in --epsilon ''"),
+        ("1/3,1/0", "1/10", "bad rational in --target '1/3,1/0'"),
+        ("1/0,1/3", "1/10", "bad rational in --target '1/0,1/3'"),
+        ("x,1", "1/10", "bad rational in --target 'x,1'"),
+    ):
+        argv = ["density", "--angles", EXAMPLE, f"--target={target}", f"--epsilon={epsilon}"]
+        assert invoke(argv, capsys) == (2, "", f"error: {err}\n")
+
+
+def test_density_takes_every_fraction_literal(capsys):
+    # the spellings Fraction() accepts name the same witness as n/d
+    want = invoke(
+        ["density", "--angles", EXAMPLE, "--target=1/3,-1/2", "--epsilon=1/1000"], capsys
+    )
+    for target, epsilon in ((" 1/3 ,-0.5", "1e-3"), ("+1/3,-5e-1", " 0.001 "), ("2/6,-1/2", "+.001")):
+        code, stdout, _ = invoke(
+            ["density", "--angles", EXAMPLE, f"--target={target}", f"--epsilon={epsilon}"], capsys
+        )
+        assert code == 0
+        drop_meta = lambda text: {k: v for k, v in json.loads(text).items() if k != "meta"}
+        assert drop_meta(stdout) == drop_meta(want[1])
+
+
 # --- generic ----------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Closure construction, elementary monomials, projections."""
 
 import hashlib
+import itertools
 import json
 import logging
 from fractions import Fraction
@@ -28,6 +29,7 @@ from origami_rings import (
 from origami_rings import construction
 from origami_rings.anglespec import parse_angle_list
 from origami_rings.cli import run
+from origami_rings.construction import nontrivial_projections
 from origami_rings.geometry import pair_multipliers
 from helpers import (
     oracle_elementary_monomials,
@@ -36,6 +38,7 @@ from helpers import (
     oracle_projection_set,
     oracle_slide,
     oracle_step,
+    oracle_vector_projection_set,
 )
 
 # angle sets of orders 4 to 120, five directions, one without the real axis
@@ -403,11 +406,29 @@ POOL_SETS = sorted({spec for spec, _ in POOL_BYTES} - set(ORACLE_SETS))
 MIXED_ORDERS = "0,pi*1/10,pi*1/5,pi*3/5,pi*4/5"
 
 
+# every {0, pi*a/n, pi*b/n, pi*c/n} with 0 < a < b < c < n <= 12, as sets
+FAMILY_SETS = sorted(
+    {
+        ",".join(["0"] + [f"pi*{f.numerator}/{f.denominator}" for f in sorted(s)])
+        for s in {
+            frozenset(Fraction(k, n) for k in ks)
+            for n in range(4, 13)
+            for ks in itertools.combinations(range(1, n), 3)
+        }
+    }
+)
+AXISLESS = "pi*1/6,pi*1/3,pi*1/2,pi*2/3"
+
+
+def objs(values):
+    return None if values is None else [v.to_obj() for v in values]
+
+
 @pytest.mark.parametrize("spec", ORACLE_SETS + POOL_SETS + [MIXED_ORDERS])
 def test_projection_set_matches_intersect_oracle(spec, capsys):
     angles = parse_angle_list(spec)[0]
     got, want = projection_set(angles), oracle_projection_set(angles)
-    objs = lambda values: None if values is None else [v.to_obj() for v in values]
+    assert objs(nontrivial_projections(parse_angle_list(spec)[0])) == objs(want.nontrivial)
     assert objs(got.projections) == objs(want.projections)
     assert objs(got.nontrivial) == objs(want.nontrivial)
     assert objs(got.family) == objs(want.family)
@@ -421,6 +442,52 @@ def test_projection_set_matches_intersect_oracle(spec, capsys):
             obj.pop("meta")
             body = json.dumps(obj, indent=2, sort_keys=True).encode()
             assert (code, hashlib.sha256(body).hexdigest()) == POOL_BYTES[spec, command]
+
+
+def test_nontrivial_projections_match_the_projection_set():
+    # P on a fresh instance against the full set's `nontrivial` and against
+    # the one-pass vector build that P's builder replaced, which also gives
+    # the full set's other fields
+    assert len(FAMILY_SETS) == 479
+    for spec in ORACLE_SETS + POOL_SETS + [MIXED_ORDERS, AXISLESS] + FAMILY_SETS:
+        fresh = lambda: parse_angle_list(spec)[0]
+        p = nontrivial_projections(fresh())
+        got, want = projection_set(fresh()), oracle_vector_projection_set(fresh())
+        assert objs(p) == objs(got.nontrivial) == objs(want.nontrivial), spec
+        assert objs(got.projections) == objs(want.projections), spec
+        assert objs(got.family) == objs(want.family), spec
+        assert (got.x is None) == (want.x is None), spec
+        if got.x is not None:
+            assert got.x.to_obj() == want.x.to_obj(), spec
+
+
+def test_nontrivial_projections_are_held_per_instance(monkeypatch):
+    builds = []
+    slides = construction._slides
+    monkeypatch.setattr(construction, "_slides", lambda a: builds.append(a) or slides(a))
+    angles = example_angles()
+    first = nontrivial_projections(angles)
+    assert nontrivial_projections(angles) is first
+    assert projection_set(angles).nontrivial is first
+    assert builds == [angles, angles]  # P once, then the rest of the full set
+    projection_set(angles)  # the full set is built again on each call
+    assert builds == [angles] * 3
+    nontrivial_projections(example_angles())  # a new instance builds its own
+    assert len(builds) == 4
+
+
+def test_family_projections_lie_in_the_x_family():
+    # `_x_family` raises on a stray projection; the containment is also
+    # checked here directly
+    with_x = 0
+    for spec in FAMILY_SETS:
+        ps = projection_set(parse_angle_list(spec)[0])
+        if ps.x is None:
+            continue
+        with_x += 1
+        allowed = {f.canonical_key() for f in ps.family + (Rational(0), Rational(1))}
+        assert {p.canonical_key() for p in ps.projections} <= allowed, spec
+    assert with_x > 0
 
 
 def test_projection_set_rejects_a_wrong_x(monkeypatch):

@@ -11,19 +11,19 @@ from origami_rings import (
     AngleSet,
     MembershipSolver,
     ParamRational,
-    ProjectionSet,
     Rational,
     ScalingProjectionNotFoundError,
     UnitAngle,
     UnsupportedConfigurationError,
     approximate,
     find_scaling_projection,
-    projection_set,
     real_imag_parts,
     real_sign,
     root_of_unity,
 )
-from origami_rings import construction, density
+from origami_rings import cli, construction, density
+from origami_rings.analysis import ring_context
+from origami_rings.construction import nontrivial_projections
 from origami_rings.anglespec import parse_angle_list
 from helpers import oracle_least_exponent, oracle_witness
 
@@ -37,12 +37,11 @@ def example_angles():
 
 
 def fake_projections(*fracs):
-    vals = tuple(Rational(Fraction(f)) for f in fracs)
-    return ProjectionSet(projections=vals, nontrivial=vals, x=None, family=None)
+    return tuple(Rational(Fraction(f)) for f in fracs)
 
 
 def test_scaling_projection_first_tier():
-    p = find_scaling_projection(projection_set(example_angles()))
+    p = find_scaling_projection(nontrivial_projections(example_angles()))
     assert p.as_fraction() == Fraction(2, 3)
     assert find_scaling_projection(fake_projections(Fraction(1, 2), 3)).as_fraction() == Fraction(1, 2)
 
@@ -57,10 +56,8 @@ def test_scaling_projection_product_tier():
 def test_scaling_projection_failures():
     with pytest.raises(ScalingProjectionNotFoundError):
         find_scaling_projection(fake_projections())
-    t = ParamRational.t_power(1)
-    ps = ProjectionSet(projections=(t,), nontrivial=(t,), x=None, family=None)
     with pytest.raises(UnsupportedConfigurationError):
-        find_scaling_projection(ps)
+        find_scaling_projection((ParamRational.t_power(1),))
 
 
 def test_approximate_zero_target():
@@ -282,15 +279,39 @@ def test_approximate_validation():
         approximate(0, 0, Fraction(1, 10), param)
 
 
-def test_approximate_builds_the_projection_set_once(monkeypatch):
-    calls = []
-    build = construction._projection_set
-    monkeypatch.setattr(
-        construction, "_projection_set", lambda angles: calls.append(angles) or build(angles)
-    )
-    angles = example_angles()
-    first = approximate(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 1000), angles)
-    second = approximate(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 1000), angles)
-    assert first == second and calls == [angles]
-    projection_set(example_angles())  # a new instance builds its own
-    assert len(calls) == 2
+def test_request_path_builds_only_p_once_per_instance(monkeypatch, capsys, tmp_path):
+    # approximate, ring_context and the check-ring, verify and density
+    # commands read P alone: the full projection set and its x-family
+    # check never run, and each angle set builds P once
+    def refuse(*args):
+        raise AssertionError("the full projection set was built")
+
+    monkeypatch.setattr(construction, "_projection_set", refuse)
+    monkeypatch.setattr(construction, "_x_family", refuse)
+    builds = []
+    slides = construction._slides
+    monkeypatch.setattr(construction, "_slides", lambda a: builds.append(a) or slides(a))
+    # exit codes of check-ring, verify and density, and the P builds of
+    # those three requests: verify of an unknown verdict needs no P
+    for spec, codes, requests in (
+        ("0,pi*1/6,pi*1/3,pi*1/2", [0, 0, 0], 3),
+        ("0,pi*1/5,pi*1/4,pi*1/3", [4, 4, 0], 2),
+    ):
+        angles = parse_angle_list(spec)[0]
+        first = approximate(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 1000), angles)
+        second = approximate(Fraction(1, 3), Fraction(-1, 2), Fraction(1, 1000), angles)
+        assert first == second
+        assert ring_context(angles).projections is construction.nontrivial_projections(angles)
+        assert builds == [angles]
+        out = tmp_path / "verdict.json"
+        got = [
+            cli.run(["check-ring", "--angles", spec, "--out", str(out)]),
+            cli.run(["verify", str(out)]),
+            cli.run(["density", "--angles", spec, "--target=1/3,-1/2", "--epsilon", "1/1000"]),
+        ]
+        capsys.readouterr()
+        assert got == codes
+        # each command parses an instance of its own
+        assert len(builds) == 1 + requests
+        assert len({id(a) for a in builds}) == len(builds)
+        builds.clear()

@@ -239,6 +239,14 @@ def test_project_is_real_random():
         assert bracket(w.value, x - z).is_zero()
 
 
+def test_project_parametric_matches_oracle():
+    t = ParamRational.t_power
+    for z in (t(1) + 2, t(2) * t(1).conj(), Rational(Fraction(5, 3)), Fraction(-1, 2)):
+        for g in (t(1), t(3)):
+            x = project_to_real_axis(z, UnitAngle(g))
+            assert x.to_obj() == oracle_project_to_real_axis(z, UnitAngle(g)).to_obj()
+
+
 # --- AngleSet ------------------------------------------------------------------
 
 
