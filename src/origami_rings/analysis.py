@@ -6,9 +6,11 @@ directions the closure is spanned over Z[P] (P the projection values) by the
 nontrivial elementary monomials together with 1, and ring-ness is certified
 by expressing every pairwise product of generators back in the module; the
 search is complete up to a monomial degree bound, so its failure reports
-Unknown rather than NotRing.  The membership solver and certificate
-evaluation work on the vectors of one bulk field (`ratfunc.bulk_field`),
-for numeric and parametric values alike.
+Unknown rather than NotRing.  Both are integer membership questions, and
+one solver decides them: Z + xZ is the module of the generators (1, x) at
+degree 0.  The membership solver and certificate evaluation work on the
+vectors of one bulk field (`ratfunc.bulk_field`), for numeric and
+parametric values alike.
 """
 
 from __future__ import annotations
@@ -58,30 +60,16 @@ def same_lattice(x, y) -> bool:
 def lattice_coordinates(x, z):
     """(m, n) with z = m + n*x, integers, or None when z is outside Z + xZ.
 
-    n is dz/dx for the imaginary parts dz = z - conj(z) and dx = x - conj(x),
-    read off one nonzero coordinate of dx in their bulk field and checked as
-    dz = n*dx on every coordinate, so no inverse is taken."""
+    One `MembershipSolver` over the generators (1, x) at degree 0; the
+    solution is unique because a non-real x is independent of 1 over R."""
     x = as_scalar(x)
-    z = as_scalar(z)
     if x.is_real():
         raise ValueError("degenerate lattice: generator is real")
-    dx = x - x.conj()
-    dz = z - z.conj()
-    if dz.is_zero():
-        n = 0
-    else:
-        (vx, vz), _ = bulk_field([dx, dz]).vectors([dx, dz])
-        i = next(i for i, c in enumerate(vx) if c)
-        ratio = as_scalar(vz[i]) * as_scalar(vx[i]).inv()
-        if not ratio.is_integer():
-            return None
-        n = int(ratio.as_fraction())
-        if any(b != n * a for a, b in zip(vx, vz)):
-            return None
-    rest = z - n * x
-    if not rest.is_integer():
+    cert = MembershipSolver((Rational(1), x), (), 0).solve(z)
+    if cert is None:
         return None
-    return int(rest.as_fraction()), n
+    coeffs = {t.generator: t.coefficient for t in cert.terms}
+    return coeffs.get(0, 0), coeffs.get(1, 0)
 
 
 def tangent_point(theta: UnitAngle, phi: UnitAngle) -> ExactScalar:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .analysis import ring_context
 from .cyclotomic import CyclotomicElement
 from .geometry import AngleSet, UnitAngle
 from .ratfunc import ParamRational
@@ -89,15 +90,12 @@ def parse_value_spec(text: str):
     "angles:<spec-list>" for the generator of a three-direction closure."""
     text = text.strip()
     if text.startswith("angles:"):
-        from .geometry import intersect
-
         angle_set, _ = parse_angle_list(text[len("angles:"):])
         if len(angle_set) != 3 or not angle_set.contains_one():
             raise ValueError(
                 "a lattice generator needs exactly three directions including 0"
             )
-        u, v = angle_set.non_unit()
-        return intersect(u, v, Rational(0), Rational(1))
+        return ring_context(angle_set).generators[1]
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 're,im' or 'angles:...', got {text!r}")

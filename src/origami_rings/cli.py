@@ -30,7 +30,6 @@ from .construction import (
     ConstructionConfig,
     closure_to_depth,
     elementary_monomials,
-    initial_generation,
     nontrivial_monomials,
     projection_set,
 )
@@ -42,7 +41,6 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .export import _enclosures, generations_to_csv, generations_to_obj, points_to_svg
-from .geometry import intersect
 from .intervals import check_precision
 from .ratfunc import bulk_field, pi_multiple
 from .scalars import scalar_from_obj
@@ -103,18 +101,16 @@ def _interval_args(args, angle_set):
 
 def cmd_construct(args) -> int:
     angle_set = _angles_arg(args)
-    if angle_set is None:
-        if args.depth > 0:
-            print("error: --angles is required for depth > 0", file=sys.stderr)
-            return 2
-        gens, code = [initial_generation()], 0
-    else:
-        config = ConstructionConfig(angle_set, args.depth, args.max_points)
-        try:
-            gens, code = closure_to_depth(config), 0
-        except CapExceededError as err:
-            gens, code = err.partial, 5
-            print(f"warning: {err}; writing partial result", file=sys.stderr)
+    if angle_set is None and args.depth > 0:
+        print("error: --angles is required for depth > 0", file=sys.stderr)
+        return 2
+    # without angles the config still checks the limits, and S_0 needs no angles
+    config = ConstructionConfig(angle_set, args.depth, args.max_points)
+    try:
+        gens, code = closure_to_depth(config), 0
+    except CapExceededError as err:
+        gens, code = err.partial, 5
+        print(f"warning: {err}; writing partial result", file=sys.stderr)
     meta = _config_header(args, "construct")
     ivkw = _interval_args(args, angle_set)
     if args.format in ("csv", "svg") and ivkw is None:
@@ -269,22 +265,20 @@ def cmd_verify(args) -> int:
         return 0
     if verdict == "not_ring":
         angle_set = _spec_angles(obj)
-        nu = angle_set.non_unit()
-        witness = intersect(nu[0], nu[1], 0, 1) if len(angle_set) == 3 and len(nu) == 2 else None
-        if (witness is None or _outside_field([obj["witness"]], angle_set)
-                or scalar_from_obj(obj["witness"]) != witness):
+        three = len(angle_set) == 3 and angle_set.contains_one()
+        rebuilt = check_ring(angle_set, degree_bound=0) if three else None
+        if (rebuilt is None or _outside_field([obj["witness"]], angle_set)
+                or scalar_from_obj(obj["witness"]) != rebuilt.context.generators[1]):
             print("witness is not the intersection rebuilt from the angles, "
                   "which must be three directions, one the real axis", file=sys.stderr)
             return 3
-        trace = witness + witness.conj()
-        norm = witness * witness.conj()
+        if rebuilt.verdict == "ring":
+            print("witness is a quadratic integer after all", file=sys.stderr)
+            return 3
         declared = [obj["trace"], obj["norm"]]
-        if _outside_field(declared, angle_set) or [trace, norm] != list(
+        if _outside_field(declared, angle_set) or [rebuilt.trace, rebuilt.norm] != list(
                 map(_declared_scalar, declared)):
             print("witness trace/norm mismatch", file=sys.stderr)
-            return 3
-        if trace.is_integer() and norm.is_integer():
-            print("witness is a quadratic integer after all", file=sys.stderr)
             return 3
         print("verified: witness is not a quadratic integer")
         return 0

@@ -29,7 +29,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ConstructionConfig:
-    angles: AngleSet
+    angles: AngleSet | None  # None only at max_depth 0, where no step runs
     max_depth: int = 3
     max_points: int = 250_000
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from operator import sub
 
 from .cyclotomic import field_order
 from .errors import ParallelLinesError
 from .ratfunc import ParamRational, bulk_field
-from .scalars import ExactScalar, Rational, as_scalar, real_compare, refined_sign
+from .scalars import ExactScalar, Rational, as_scalar, refined_sign
 
 
 def bracket(x, y) -> ExactScalar:
@@ -164,12 +163,10 @@ def angle_arg_compare(a: UnitAngle, b: UnitAngle) -> int:
             return -1 if ka < kb else 1
         return -1 if va.canonical_key() < vb.canonical_key() else 1
     # upper-half representatives have argument in (0, pi), where the argument
-    # is strictly decreasing in the real part
+    # is strictly decreasing in the real part, so distinct ones differ in it
     ua = va if _imag_sign(va) > 0 else -va
     ub = vb if _imag_sign(vb) > 0 else -vb
-    rea = (ua + ua.conj()) * Fraction(1, 2)
-    reb = (ub + ub.conj()) * Fraction(1, 2)
-    return real_compare(reb, rea)
+    return refined_sign(ub - ua)
 
 
 class AngleSet:

@@ -5,7 +5,10 @@ line intersection is re-derived from a 2x2 real linear solve, the closure
 step from one intersect call per ordered point pair, elementary monomials
 and projections from one intersect call per value, quadratic
 integrality from expanding (X - x)(X - conj(x)), lattice comparison from
-brute-force enumeration of truncated lattices.  Diagonalization forms the
+brute-force enumeration of truncated lattices, lattice coordinates from
+dz/dx read off one coordinate (`oracle_lattice_coordinates`), and the
+direction order from comparing real parts with `real_compare`
+(`oracle_angle_arg_compare`).  Diagonalization forms the
 dense V and applies every column operation to it (`oracle_diagonalize`); the
 integer solve multiplies out the dense V*y from it (`oracle_linear_solve`),
 and the rational row solver scales rows of Fractions and solves with that
@@ -62,6 +65,7 @@ from origami_rings import (
     euler_phi,
     find_scaling_projection,
     intersect,
+    real_compare,
     real_imag_parts,
     real_sign,
     root_of_unity,
@@ -70,7 +74,9 @@ from origami_rings._polys import zdiv
 from origami_rings.analysis import Certificate, CertTerm
 from origami_rings.density import DensityWitness
 from origami_rings.diophantine import _reduce, _replay
-from origami_rings.geometry import pair_multipliers
+from origami_rings.geometry import _imag_sign, _param_exponent, pair_multipliers
+from origami_rings.ratfunc import bulk_field
+from origami_rings.scalars import as_scalar
 from origami_rings.intervals import interval_context
 
 # -- polynomials over Q ---------------------------------------------------------
@@ -570,6 +576,58 @@ def same_lattice_oracle(x, y):
     if dx == dy and ((tx - ty) * Fraction(1, 2)).is_integer():
         return True
     return dx == -dy and ((tx + ty) * Fraction(1, 2)).is_integer()
+
+
+def oracle_lattice_coordinates(x, z):
+    """(m, n) with z = m + n*x, or None: n = dz/dx for dz = z - conj(z) and
+    dx = x - conj(x), read off one nonzero coordinate of dx in their bulk
+    field and checked on every coordinate, then m = z - n*x tested for an
+    integer.  The body `lattice_coordinates` had before it became a
+    membership solve."""
+    x = as_scalar(x)
+    z = as_scalar(z)
+    if x.is_real():
+        raise ValueError("degenerate lattice: generator is real")
+    dx = x - x.conj()
+    dz = z - z.conj()
+    if dz.is_zero():
+        n = 0
+    else:
+        (vx, vz), _ = bulk_field([dx, dz]).vectors([dx, dz])
+        i = next(i for i, c in enumerate(vx) if c)
+        ratio = as_scalar(vz[i]) * as_scalar(vx[i]).inv()
+        if not ratio.is_integer():
+            return None
+        n = int(ratio.as_fraction())
+        if any(b != n * a for a, b in zip(vx, vz)):
+            return None
+    rest = z - n * x
+    if not rest.is_integer():
+        return None
+    return int(rest.as_fraction()), n
+
+
+def oracle_angle_arg_compare(a, b):
+    """Direction order by argument in [0, pi), numeric directions compared
+    on the real parts (u + conj(u))/2 of their upper-half representatives
+    by `real_compare`: the comparator `angle_arg_compare` replaced by one
+    sign test of the difference of the representatives."""
+    va, vb = a.value, b.value
+    if va == vb:
+        return 0
+    ra, rb = va.is_rational(), vb.is_rational()
+    if ra or rb:
+        return -1 if ra else 1
+    if isinstance(va, ParamRational) or isinstance(vb, ParamRational):
+        ka, kb = _param_exponent(va), _param_exponent(vb)
+        if ka is not None and kb is not None and ka != kb:
+            return -1 if ka < kb else 1
+        return -1 if va.canonical_key() < vb.canonical_key() else 1
+    ua = va if _imag_sign(va) > 0 else -va
+    ub = vb if _imag_sign(vb) > 0 else -vb
+    rea = (ua + ua.conj()) * Fraction(1, 2)
+    reb = (ub + ub.conj()) * Fraction(1, 2)
+    return real_compare(reb, rea)
 
 
 def brute_lattice_points(a, b, box, coeff_bound=6):

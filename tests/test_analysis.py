@@ -50,10 +50,13 @@ from helpers import (
     mul,
     oracle_cyclotomic_membership,
     oracle_evaluate_certificate,
+    oracle_lattice_coordinates,
     oracle_param_membership,
     param_coordinate_rows,
     quadratic_oracle,
+    random_cyclo,
     random_fraction,
+    random_rational,
     same_lattice_oracle,
 )
 
@@ -216,6 +219,63 @@ def test_lattice_coordinates_parametric():
     assert lattice_coordinates(x, 3 + x / 2) is None  # dz/dx = 1/2
 
 
+def _lattice_outcome(coordinates, x, z):
+    try:
+        return coordinates(x, z)
+    except (ValueError, BackendMismatchError) as err:
+        return type(err)
+
+
+def test_lattice_coordinates_match_the_dz_dx_oracle():
+    # the membership solve against the dz/dx body it replaced, on random x
+    # and z of orders 1 to 120: z in the lattice, off it by a fraction, at
+    # half a lattice step, rational, real and irrational, from a larger
+    # field; parametric values; and mixed backends, compared by exception
+    # type (a real x raises ValueError on both paths)
+    rng = random.Random(2028)
+    orders = [1, 3, 4, 5, 7, 8, 9, 12, 15, 20, 24, 30, 40, 60, 120]
+    t = ParamRational.t_power(1)
+    cases = []
+    for _ in range(30):
+        order = rng.choice(orders)
+        x = random_cyclo(rng, order) if order > 1 else random_rational(rng)
+        m, n = rng.randint(-9, 9), rng.randint(-9, 9)
+        w = random_cyclo(rng, rng.choice(orders[1:]))
+        lattice = m + n * x
+        cases += [
+            (x, lattice),
+            (x, x * x),
+            (x, lattice + random_fraction(rng)),
+            (x, lattice + x * Fraction(1, 2)),
+            (x, Rational(Fraction(m))),
+            (x, random_rational(rng)),
+            (x, w + w.conj()),
+            (x, lattice + root_of_unity(7 * order, 1)),
+            (x, random_cyclo(rng, 2 * order)),
+            (x, t),
+        ]
+    for k in (1, 2, 3):
+        x = t**k * random_fraction(rng, den_bound=3) + random_fraction(rng)
+        if x.is_real():
+            continue
+        m, n = rng.randint(-9, 9), rng.randint(-9, 9)
+        cases += [
+            (x, m + n * x),
+            (x, x * x),
+            (x, m + n * x + Fraction(1, 3)),
+            (x, m + t + t.inv()),
+            (x, random_rational(rng)),
+            (x, root_of_unity(12, 1)),
+        ]
+    assert len(cases) > 300
+    found = 0
+    for x, z in cases:
+        got = _lattice_outcome(lattice_coordinates, x, z)
+        assert got == _lattice_outcome(oracle_lattice_coordinates, x, z)
+        found += isinstance(got, tuple)
+    assert found >= 60
+
+
 @pytest.mark.parametrize(
     "spec, verdict",
     [
@@ -228,7 +288,7 @@ def test_lattice_coordinates_parametric():
 )
 def test_three_direction_check_ring_takes_one_inverse(spec, verdict, monkeypatch):
     # x is one intersect call, which inverts one bracket, and the lattice
-    # test reads dz/dx off one coordinate instead of inverting dx
+    # test is a membership solve on integer rows, which inverts nothing
     calls = []
     inv = CyclotomicElement.inv
     monkeypatch.setattr(CyclotomicElement, "inv", lambda self: calls.append(self) or inv(self))

@@ -66,6 +66,21 @@ def test_construct_requires_angles_for_positive_depth(capsys):
     assert "angles" in err
 
 
+@pytest.mark.parametrize("angles", [[], ["--angles", EXAMPLE]], ids=["no-angles", "angles"])
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        ("--depth -2", "max_depth must be nonnegative"),
+        ("--max-points 1 --depth 0", "max_points must allow at least the seed points"),
+    ],
+)
+def test_construct_refuses_bad_limits(capsys, angles, limits, message):
+    code, stdout, err = invoke(["construct", *angles, *limits.split()], capsys)
+    assert code == 2
+    assert not stdout
+    assert err == f"error: {message}\n"
+
+
 def test_construct_json(capsys):
     code, stdout, _ = invoke(
         ["construct", "--angles", EXAMPLE, "--depth", "1", "--format", "json"], capsys
@@ -435,6 +450,23 @@ def test_verify_rebuilds_not_ring_witness_from_angles(capsys, tmp_path):
     assert code == 3
     assert "verified" not in stdout
     assert "rebuilt from the angles" in err
+
+
+def test_verify_refuses_a_not_ring_label_on_a_ring(capsys, tmp_path):
+    # the ring verdict of THREE_RING relabelled not_ring, with its true
+    # witness x = e^{i pi/3}, trace 1 and norm 1: x is a quadratic integer
+    out = tmp_path / "ring.json"
+    code, _, _ = invoke(["check-ring", "--angles", THREE_RING, "--out", str(out)], capsys)
+    assert code == 0
+    obj = json.loads(out.read_text())
+    obj["verdict"] = "not_ring"
+    obj["witness"] = obj["generators"][1]
+    obj["trace"], obj["norm"] = "1", "1"
+    del obj["certificates"]
+    code, stdout, err = verify_obj(obj, capsys, tmp_path)
+    assert code == 3
+    assert "verified" not in stdout
+    assert err == "witness is a quadratic integer after all\n"
 
 
 def test_verify_not_ring_needs_three_directions(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Lines, intersections, projections, and the five intersection identities."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,9 @@ from origami_rings import (
     project_to_real_axis,
     root_of_unity,
 )
+from origami_rings.geometry import angle_arg_compare
 from helpers import (
+    oracle_angle_arg_compare,
     oracle_intersect,
     oracle_project_to_real_axis,
     random_angle_pair,
@@ -269,6 +272,31 @@ def test_angle_set_sorting_mod_sign():
     # -e^{i pi/6} normalizes to e^{i pi/6}
     angles = AngleSet([UnitAngle(-root_of_unity(12, 1)), ua(1, 0)])
     assert angles[1].value == root_of_unity(12, 1)
+
+
+def test_angle_order_matches_the_real_part_oracle():
+    # every direction pi*k/n with n <= 24, and five units that are no roots
+    # of unity: (3+4i)/5, (5-12i)/13 (canonical sign flips it), (8+15i)/17,
+    # (1+4*sqrt(-3))/7 and (3+4i)/5 * zeta_8; shuffled, then sorted by the
+    # one-sign-test comparator and by the oracle that compares real parts
+    i = root_of_unity(4, 1)
+    sqrt_m3 = 2 * root_of_unity(3, 1) + 1
+    units = [
+        (3 + 4 * i) / 5,
+        (5 - 12 * i) / 13,
+        (8 + 15 * i) / 17,
+        (1 + 4 * sqrt_m3) / 7,
+        (3 + 4 * i) / 5 * root_of_unity(8, 1),
+    ]
+    fracs = {Fraction(k, n) for n in range(1, 25) for k in range(n)}
+    directions = [ua(2 * f.denominator, f.numerator) for f in fracs]
+    directions += [UnitAngle(u) for u in units]
+    assert len(directions) == 185
+    random.Random(24).shuffle(directions)
+    got = sorted(directions, key=functools.cmp_to_key(angle_arg_compare))
+    want = sorted(directions, key=functools.cmp_to_key(oracle_angle_arg_compare))
+    assert [d.value for d in got] == [d.value for d in want]
+    assert got[0].is_one() and got[1].value == root_of_unity(48, 1)
 
 
 def test_angle_set_rejects_duplicates():
