@@ -38,7 +38,7 @@ from .errors import (
     ScalingProjectionNotFoundError,
     UnsupportedConfigurationError,
 )
-from .geometry import AngleSet, UnitAngle, bracket, intersect, project_to_real_axis
+from .geometry import AngleSet, UnitAngle, bracket, intersect
 from .intervals import ComplexInterval
 from .ratfunc import ParamRational
 from .scalars import (
@@ -46,8 +46,6 @@ from .scalars import (
     Rational,
     as_scalar,
     ceil_exact,
-    floor_exact,
-    real_compare,
     real_imag_parts,
     real_sign,
     scalar_from_obj,
@@ -94,15 +92,12 @@ __all__ = [
     "elementary_monomials",
     "euler_phi",
     "find_scaling_projection",
-    "floor_exact",
     "initial_generation",
     "intersect",
     "lattice_coordinates",
     "nontrivial_monomials",
-    "project_to_real_axis",
     "projection_set",
     "quadratic_integer_test",
-    "real_compare",
     "real_imag_parts",
     "real_sign",
     "root_of_unity",

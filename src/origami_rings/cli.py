@@ -40,7 +40,7 @@ from .errors import (
     PrecisionError,
     UnsupportedConfigurationError,
 )
-from .export import _enclosures, generations_to_csv, generations_to_obj, points_to_svg
+from .export import enclosures, generations_to_csv, generations_to_obj, points_to_svg
 from .intervals import check_precision
 from .ratfunc import bulk_field, pi_multiple
 from .scalars import scalar_from_obj
@@ -160,7 +160,7 @@ def cmd_elementary(args) -> int:
     ]
     if ivkw is not None:
         values = [m.value for m in elementary]
-        ends = _enclosures(values, args.precision, ivkw.get("t_arg"), "elementary")
+        ends = enclosures(values, args.precision, ivkw.get("t_arg"), "elementary")
         for entry, (re_lo, re_hi, im_lo, im_hi) in zip(monomials, ends):
             entry["interval"] = {"re": [re_lo, re_hi], "im": [im_lo, im_hi]}
     _emit_json({"meta": meta, "monomials": monomials}, args.out)

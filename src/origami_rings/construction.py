@@ -53,11 +53,8 @@ class GenerationSet:
         self.points = tuple(by_key[k] for k in sorted(by_key))
         self._keys = frozenset(by_key)
 
-    def contains(self, value) -> bool:
-        return as_scalar(value).canonical_key() in self._keys
-
     def __contains__(self, value):
-        return self.contains(value)
+        return as_scalar(value).canonical_key() in self._keys
 
     def __len__(self):
         return len(self.points)
@@ -302,17 +299,11 @@ def nontrivial_projections(angles: AngleSet) -> tuple[ExactScalar, ...]:
 
 
 def projection_set(angles: AngleSet) -> ProjectionSet:
-    """The full projection set of the angle set (`_projection_set`), built
-    on each call; its ``nontrivial`` is `nontrivial_projections`."""
-    return _projection_set(angles)
-
-
-def _projection_set(angles: AngleSet) -> ProjectionSet:
-    """The projection set, computed on the vectors of the angle set's
-    elementary table (`AngleSet._elementary_table`), for numeric and
-    parametric sets alike: every elementary value slid to the axis along
-    every non-axis direction, 0 and 1 added, and the x-family checked
-    (`_x_family`)."""
+    """The full projection set of the angle set, built on each call on the
+    vectors of its elementary table (`AngleSet._elementary_table`), for
+    numeric and parametric sets alike: every elementary value slid to the
+    axis along every non-axis direction, 0 and 1 added, and the x-family
+    checked (`_x_family`); its ``nontrivial`` is `nontrivial_projections`."""
     field, den, slides = _slides(angles)
     multipliers, elementary = angles._elementary_table()[2:4]
     all_proj = {Rational(0).canonical_key(): Rational(0), Rational(1).canonical_key(): Rational(1)}

@@ -468,7 +468,7 @@ class CyclotomicElement(ExactScalar):
                     term = terms[key] = _term(n, j, key[2], key[3], bits)
                 re = mpi_add(re, term[0], bits)
                 im = mpi_add(im, term[1], bits)
-        return ComplexInterval._of(re, im, bits)
+        return ComplexInterval(re, im, bits)
 
     def to_obj(self):
         if self.is_rational():

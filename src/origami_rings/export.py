@@ -3,7 +3,7 @@
 Every export is deterministic: points are ordered by canonical key, interval
 endpoints are printed at a pinned precision, and headers carry the run
 configuration rather than timestamps.  One export shares its interval work
-across its points (`_enclosures`) and keeps none of it after it returns.
+across its points (`enclosures`) and keeps none of it after it returns.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ log = logging.getLogger(__name__)
 SVG_SIZE = 800
 
 
-def _enclosures(values, bits: int, t_arg, kind: str, strings: bool = True) -> list:
+def enclosures(values, bits: int, t_arg, kind: str, strings: bool = True) -> list:
     """The enclosures of values at bits, as (re_lo, re_hi, im_lo, im_hi)
     endpoint strings, or as ComplexIntervals when strings is false.
 
@@ -80,7 +80,7 @@ def generations_to_csv(
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["re_lo", "re_hi", "im_lo", "im_hi", "canonical_key", "depth"])
     rows = _first_appearance(gens)
-    ends = _enclosures([p for p, _ in rows], bits, t_arg, "csv")
+    ends = enclosures([p for p, _ in rows], bits, t_arg, "csv")
     for (point, depth), (re_lo, re_hi, im_lo, im_hi) in zip(rows, ends):
         writer.writerow([re_lo, re_hi, im_lo, im_hi, point.canonical_key().decode(), depth])
     return buf.getvalue()
@@ -103,7 +103,7 @@ def generations_to_obj(
             points.append(entry)
         out.append({"depth": gen.depth, "size": len(gen.points), "points": points})
     if bits is not None:
-        ends = _enclosures([p for _, p in enclosed], bits, t_arg, "json")
+        ends = enclosures([p for _, p in enclosed], bits, t_arg, "json")
         for (entry, _), (re_lo, re_hi, im_lo, im_hi) in zip(enclosed, ends):
             entry["interval"] = {"re": [re_lo, re_hi], "im": [im_lo, im_hi]}
     return {"generations": out}
@@ -144,8 +144,8 @@ def points_to_svg(
         lines.append(f"<!-- {k}={v} -->")
     lines.append(f'<rect width="{width:.1f}" height="{height:.1f}" fill="white"/>')
     rows = _first_appearance(gens)
-    enclosures = _enclosures([p for p, _ in rows], bits, t_arg, "svg", strings=False)
-    for (point, depth), iv in zip(rows, enclosures):
+    rects = enclosures([p for p, _ in rows], bits, t_arg, "svg", strings=False)
+    for (point, depth), iv in zip(rows, rects):
         mid = iv.midpoint()
         if not (re_min <= mid.real <= re_max and im_min <= mid.imag <= im_max):
             continue

@@ -72,23 +72,6 @@ def intersect(alpha: UnitAngle, beta: UnitAngle, p, q) -> ExactScalar:
     return (bracket(a, p) * b - bracket(b, q) * a) / denom
 
 
-def project_to_real_axis(z, along: UnitAngle) -> ExactScalar:
-    """Slide z to the real axis along the direction gamma of `along`.
-
-    That is intersect(1, gamma, 0, z), computed by `slide_to_axis` on the
-    vectors of the bulk field of gamma and z with the x of
-    `pair_multipliers` for the pair (1, gamma).  The value is stored at the
-    order of that intersect call, lcm(ord gamma, ord z).
-    """
-    if along.is_one():
-        raise ParallelLinesError("projection direction is parallel to the axis")
-    z = as_scalar(z)
-    field = bulk_field((along.value, z))
-    d, ((x, _, _, order),) = pair_multipliers([(UnitAngle.real_axis(), along)], field)
-    (v,), g = field.vectors([z])
-    return field.element(slide_to_axis(field, x, v), d * g, math.lcm(order, field_order(z)))
-
-
 def slide_to_axis(field, x, v) -> tuple:
     """The vector v of `field` slid to the real axis along a direction gamma:
     -[gamma, v]/[1, gamma] = -(w + conj(w)) with w = x*conj(v), where

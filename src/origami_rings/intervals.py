@@ -1,16 +1,16 @@
-"""Directed complex interval arithmetic on mpmath's libmp interval kernels.
+"""Complex interval enclosures on mpmath's libmp interval kernels.
 
 A ComplexInterval is a rectangle [re] x [im] whose endpoints are binary
-floats at a chosen working precision.  All constructors and operations round
-outward, so a ComplexInterval computed from an exact scalar always encloses
-the true value; refinement means recomputing at higher precision.
+floats at a chosen working precision: the enclosure of an exact scalar that
+its backend's `to_interval` builds, rounding outward, for exports and plots.
+Refinement means recomputing at higher precision.
 
 Each part is held as a raw libmp interval, a (lo, hi) pair of mpf tuples, and
-the arithmetic calls mpmath.libmp directly (mpi_add, mpi_mul, ...), in the
+the enclosures call mpmath.libmp directly (mpi_add, mpi_mul, ...), in the
 order and at the precision mpmath's ivmpf operators would use.  ivmpf objects
-appear only where mpmath evaluates pi, cos and sin, and as the `re` and `im`
-fields.  `Enclosures` lets many enclosures at one precision share their
-terms, polynomials and endpoint strings.
+appear only where mpmath evaluates pi, cos and sin.  `Enclosures` lets many
+enclosures at one precision share their terms, polynomials and endpoint
+strings.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 from fractions import Fraction
 from math import gcd
 
-from mpmath import ctx_iv, make_mpf
+from mpmath import ctx_iv
 from mpmath.libmp import (
     fzero,
     from_int,
@@ -27,7 +27,6 @@ from mpmath.libmp import (
     mpi_add,
     mpi_div,
     mpi_mul,
-    mpi_neg,
     mpi_sub,
     round_ceiling,
     round_floor,
@@ -77,12 +76,6 @@ def rational_to_iv(q: Fraction, ctx):
     """ivmpf enclosure of a rational in the interval context ctx."""
     q = Fraction(q)
     return ctx.make_mpf(ratio_to_mpi(q.numerator, q.denominator, ctx.prec))
-
-
-def iv_endpoints(iv):
-    """Endpoints of an ivmpf as a pair of mpf scalars."""
-    lo, hi = iv._mpi_
-    return make_mpf(lo), make_mpf(hi)
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -166,44 +159,16 @@ def _contains(outer, inner) -> bool:
 
 
 class ComplexInterval:
-    """Axis-aligned rectangle enclosing a complex value."""
+    """Axis-aligned rectangle enclosing a complex value: what a backend's
+    `to_interval` returns and an export prints."""
 
     __slots__ = ("_re", "_im", "prec")
 
     def __init__(self, re, im, prec: int):
-        """re and im are ivmpf intervals."""
-        self._re = re._mpi_
-        self._im = im._mpi_
+        """re and im are raw libmp intervals, (lo, hi) pairs of mpf tuples."""
+        self._re = re
+        self._im = im
         self.prec = prec
-
-    @classmethod
-    def _of(cls, re, im, prec: int) -> "ComplexInterval":
-        """Rectangle from raw libmp intervals."""
-        obj = object.__new__(cls)
-        obj._re = re
-        obj._im = im
-        obj.prec = prec
-        return obj
-
-    @classmethod
-    def from_rationals(cls, re: Fraction, im: Fraction, bits: int):
-        check_precision(bits)
-        re, im = Fraction(re), Fraction(im)
-        return cls._of(
-            ratio_to_mpi(re.numerator, re.denominator, bits),
-            ratio_to_mpi(im.numerator, im.denominator, bits),
-            bits,
-        )
-
-    @property
-    def re(self):
-        """Real part as an ivmpf interval."""
-        return interval_context(self.prec).make_mpf(self._re)
-
-    @property
-    def im(self):
-        """Imaginary part as an ivmpf interval."""
-        return interval_context(self.prec).make_mpf(self._im)
 
     def _parts(self, other):
         # endpoints carry over unchanged from another precision; the result
@@ -211,29 +176,6 @@ class ComplexInterval:
         if not isinstance(other, ComplexInterval):
             raise TypeError("expected a ComplexInterval")
         return other._re, other._im
-
-    def __add__(self, other):
-        c, d = self._parts(other)
-        p = self.prec
-        return ComplexInterval._of(mpi_add(self._re, c, p), mpi_add(self._im, d, p), p)
-
-    def __sub__(self, other):
-        c, d = self._parts(other)
-        p = self.prec
-        return ComplexInterval._of(mpi_sub(self._re, c, p), mpi_sub(self._im, d, p), p)
-
-    def __neg__(self):
-        p = self.prec
-        return ComplexInterval._of(mpi_neg(self._re, p), mpi_neg(self._im, p), p)
-
-    def __mul__(self, other):
-        c, d = self._parts(other)
-        a, b, p = self._re, self._im, self.prec
-        return ComplexInterval._of(
-            mpi_sub(mpi_mul(a, c, p), mpi_mul(b, d, p), p),
-            mpi_add(mpi_mul(a, d, p), mpi_mul(b, c, p), p),
-            p,
-        )
 
     def __truediv__(self, other):
         c, d = self._parts(other)
@@ -245,14 +187,11 @@ class ComplexInterval:
             raise PrecisionError(
                 "division by an interval that may contain zero; raise precision"
             )
-        return ComplexInterval._of(
+        return ComplexInterval(
             mpi_div(mpi_add(mpi_mul(a, c, p), mpi_mul(b, d, p), p), den, p),
             mpi_div(mpi_sub(mpi_mul(b, c, p), mpi_mul(a, d, p), p), den, p),
             p,
         )
-
-    def conj(self):
-        return ComplexInterval._of(self._re, mpi_neg(self._im, self.prec), self.prec)
 
     def real_bounds(self) -> tuple[Fraction, Fraction]:
         lo, hi = self._re
@@ -266,22 +205,18 @@ class ComplexInterval:
         c, d = self._parts(other)
         return _contains(self._re, c) and _contains(self._im, d)
 
-    def contains_value(self, re: Fraction, im: Fraction = Fraction(0)) -> bool:
-        return self.encloses(ComplexInterval.from_rationals(re, im, self.prec))
-
     def midpoint(self) -> complex:
         rl, rh = self.real_bounds()
         il, ih = self.imag_bounds()
         return complex((rl + rh) / 2, (il + ih) / 2)
-
-    def width(self) -> float:
-        rl, rh = self.real_bounds()
-        il, ih = self.imag_bounds()
-        return float(max(rh - rl, ih - il))
 
     def endpoint_strings(self) -> tuple[str, str, str, str]:
         """(re_lo, re_hi, im_lo, im_hi) as decimal strings."""
         return Enclosures(self.prec).endpoint_strings(self)
 
     def __repr__(self):
-        return f"ComplexInterval(re={self.re}, im={self.im}, prec={self.prec})"
+        re_lo, re_hi, im_lo, im_hi = self.endpoint_strings()
+        return (
+            f"ComplexInterval(re=[{re_lo}, {re_hi}], im=[{im_lo}, {im_hi}], "
+            f"prec={self.prec})"
+        )

@@ -30,7 +30,7 @@ from .intervals import (
     interval_context,
     rational_to_iv,
 )
-from .scalars import _FRACTION, ExactScalar, as_scalar, common_backend
+from .scalars import FRACTION, ExactScalar, as_scalar, common_backend
 
 
 def _canonical(n, d):
@@ -277,9 +277,9 @@ class ParamRational(ExactScalar):
 
 def pi_multiple(t_arg: str) -> Fraction:
     """p/q of a specialization angle written "pi*p/q", for integers p and
-    q != 0 (`scalars._FRACTION`); any other string raises ValueError."""
+    q != 0 (`scalars.FRACTION`); any other string raises ValueError."""
     ratio = t_arg[3:] if t_arg.startswith("pi*") else ""
-    if _FRACTION.fullmatch(ratio) and int(ratio.partition("/")[2] or 1):
+    if FRACTION.fullmatch(ratio) and int(ratio.partition("/")[2] or 1):
         return Fraction(ratio)
     raise ValueError(f"bad specialization {t_arg!r}")
 
@@ -294,7 +294,7 @@ def _unit_point(bits: int, t_arg) -> ComplexInterval:
         angle = ctx.mpf(t_arg)
     else:
         angle = rational_to_iv(Fraction(t_arg), ctx)
-    return ComplexInterval(ctx.cos(angle), ctx.sin(angle), bits)
+    return ComplexInterval(ctx.cos(angle)._mpi_, ctx.sin(angle)._mpi_, bits)
 
 
 def _horner(coeffs, lead: int, memo) -> ComplexInterval:
@@ -324,7 +324,7 @@ def _horner(coeffs, lead: int, memo) -> ComplexInterval:
                 mpi_add(mpi_mul(re, ti, bits), mpi_mul(im, tr, bits), bits),
             )
             re = mpi_add(re, memo.ratio(c, lead), bits)
-    iv = memo.polys[key] = ComplexInterval._of(re, im, bits)
+    iv = memo.polys[key] = ComplexInterval(re, im, bits)
     return iv
 
 

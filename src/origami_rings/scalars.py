@@ -153,11 +153,6 @@ class ExactScalar:
         """JSON-serializable description of the exact value."""
         raise NotImplementedError
 
-    # -- derived ----------------------------------------------------------
-
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.as_fraction().denominator == 1
-
     # -- operators ----------------------------------------------------------
 
     __add__, __radd__ = _operators(
@@ -205,12 +200,6 @@ class ExactScalar:
         elif not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self.is_rational() and self.as_fraction() == other
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return NotImplemented
-        return not eq
 
     def __hash__(self):
         # rational-valued scalars hash like their Fraction so that mixed
@@ -287,7 +276,7 @@ class Rational(ExactScalar):
     def to_interval(self, bits, t_arg=None, memo=None):
         memo = Enclosures.for_call(bits, t_arg, memo)
         v = self.value
-        return ComplexInterval._of(
+        return ComplexInterval(
             memo.ratio(v.numerator, v.denominator), memo.ratio(0, 1), memo.bits
         )
 
@@ -318,14 +307,15 @@ def common_backend(values) -> type:
     return type(top)
 
 
-_FRACTION = re.compile("-?[0-9]+(/[0-9]+)?")
+# a fraction string as str(Fraction) writes it
+FRACTION = re.compile("-?[0-9]+(/[0-9]+)?")
 
 
 def _fractions(values) -> list[Fraction]:
     """A JSON list of fraction strings, as str(Fraction) writes them, as
     Fractions; a JSON number or any other value raises ValueError."""
     if isinstance(values, list) and all(
-        isinstance(v, str) and _FRACTION.fullmatch(v) for v in values
+        isinstance(v, str) and FRACTION.fullmatch(v) for v in values
     ):
         return [Fraction(v) for v in values]
     raise ValueError(f"{values!r} is not a list of fraction strings")
@@ -393,10 +383,6 @@ def _note_bits(stats, bits: int) -> None:
         stats["bits"] = max(stats.get("bits", 0), bits)
 
 
-def real_compare(a, b) -> int:
-    return real_sign(as_scalar(a) - b)
-
-
 def ceil_exact(x, stats=None) -> int:
     """Exact ceiling of a real scalar.
 
@@ -428,10 +414,6 @@ def ceil_exact(x, stats=None) -> int:
     if stats is not None:
         stats["climbs"] = stats.get("climbs", 0) + climb
     return n + climb
-
-
-def floor_exact(x) -> int:
-    return -ceil_exact(-as_scalar(x))
 
 
 def real_imag_parts(x):

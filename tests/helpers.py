@@ -7,7 +7,7 @@ and projections from one intersect call per value, quadratic
 integrality from expanding (X - x)(X - conj(x)), lattice comparison from
 brute-force enumeration of truncated lattices, lattice coordinates from
 dz/dx read off one coordinate (`oracle_lattice_coordinates`), and the
-direction order from comparing real parts with `real_compare`
+direction order from the sign of the difference of real parts
 (`oracle_angle_arg_compare`).  Diagonalization forms the
 dense V and applies every column operation to it (`oracle_diagonalize`); the
 integer solve multiplies out the dense V*y from it (`oracle_linear_solve`),
@@ -65,7 +65,6 @@ from origami_rings import (
     euler_phi,
     find_scaling_projection,
     intersect,
-    real_compare,
     real_imag_parts,
     real_sign,
     root_of_unity,
@@ -420,9 +419,6 @@ class OracleInterval:
         other = self._align(other)
         return OracleInterval(self.re - other.re, self.im - other.im, self.prec)
 
-    def __neg__(self):
-        return OracleInterval(-self.re, -self.im, self.prec)
-
     def __mul__(self, other):
         other = self._align(other)
         a, b, c, d = self.re, self.im, other.re, other.im
@@ -437,9 +433,6 @@ class OracleInterval:
             raise PrecisionError("division by an interval that may contain zero")
         a, b = self.re, self.im
         return OracleInterval((a * c + b * d) / den, (b * c - a * d) / den, self.prec)
-
-    def conj(self):
-        return OracleInterval(self.re, -self.im, self.prec)
 
     def encloses(self, other):
         other = self._align(other)
@@ -555,13 +548,18 @@ def oracle_intersect(alpha, beta, p, q):
     return p + s * a
 
 
+def _is_integer(x):
+    """Whether the scalar x is a rational integer."""
+    return x.is_rational() and x.as_fraction().denominator == 1
+
+
 def quadratic_oracle(x):
     """Coefficients of (X - x)(X - conj(x)) if both are integers, else None."""
     s = x + x.conj()
     n = x * x.conj()
     if not (s.is_rational() and n.is_rational()):
         return None
-    if not (s.is_integer() and n.is_integer()):
+    if not (_is_integer(s) and _is_integer(n)):
         return None
     # x*x = s*x - n, so the (lam, mu) convention is x^2 = lam*x + mu.
     return int(s.as_fraction()), int(-n.as_fraction())
@@ -573,9 +571,9 @@ def same_lattice_oracle(x, y):
     the real parts."""
     dx, dy = x - x.conj(), y - y.conj()
     tx, ty = x + x.conj(), y + y.conj()
-    if dx == dy and ((tx - ty) * Fraction(1, 2)).is_integer():
+    if dx == dy and _is_integer((tx - ty) * Fraction(1, 2)):
         return True
-    return dx == -dy and ((tx + ty) * Fraction(1, 2)).is_integer()
+    return dx == -dy and _is_integer((tx + ty) * Fraction(1, 2))
 
 
 def oracle_lattice_coordinates(x, z):
@@ -596,13 +594,13 @@ def oracle_lattice_coordinates(x, z):
         (vx, vz), _ = bulk_field([dx, dz]).vectors([dx, dz])
         i = next(i for i, c in enumerate(vx) if c)
         ratio = as_scalar(vz[i]) * as_scalar(vx[i]).inv()
-        if not ratio.is_integer():
+        if not _is_integer(ratio):
             return None
         n = int(ratio.as_fraction())
         if any(b != n * a for a, b in zip(vx, vz)):
             return None
     rest = z - n * x
-    if not rest.is_integer():
+    if not _is_integer(rest):
         return None
     return int(rest.as_fraction()), n
 
@@ -610,8 +608,8 @@ def oracle_lattice_coordinates(x, z):
 def oracle_angle_arg_compare(a, b):
     """Direction order by argument in [0, pi), numeric directions compared
     on the real parts (u + conj(u))/2 of their upper-half representatives
-    by `real_compare`: the comparator `angle_arg_compare` replaced by one
-    sign test of the difference of the representatives."""
+    by the sign of their difference: the comparator `angle_arg_compare`
+    replaced by one sign test of the difference of the representatives."""
     va, vb = a.value, b.value
     if va == vb:
         return 0
@@ -627,7 +625,7 @@ def oracle_angle_arg_compare(a, b):
     ub = vb if _imag_sign(vb) > 0 else -vb
     rea = (ua + ua.conj()) * Fraction(1, 2)
     reb = (ub + ub.conj()) * Fraction(1, 2)
-    return real_compare(reb, rea)
+    return real_sign(reb - rea)
 
 
 def brute_lattice_points(a, b, box, coeff_bound=6):

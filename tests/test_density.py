@@ -286,7 +286,7 @@ def test_request_path_builds_only_p_once_per_instance(monkeypatch, capsys, tmp_p
     def refuse(*args):
         raise AssertionError("the full projection set was built")
 
-    monkeypatch.setattr(construction, "_projection_set", refuse)
+    monkeypatch.setattr(construction, "projection_set", refuse)
     monkeypatch.setattr(construction, "_x_family", refuse)
     builds = []
     slides = construction._slides

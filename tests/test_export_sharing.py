@@ -1,7 +1,7 @@
 """One export shares its interval work and keeps the bytes of the per-point path.
 
 Each export (`construct` CSV, JSON and SVG, and `elementary`) encloses its
-values through one memo (`export._enclosures`): every distinct cyclotomic
+values through one memo (`export.enclosures`): every distinct cyclotomic
 term, parametric polynomial, ratio and endpoint string is computed once per
 call, and nothing is kept after it.  The outputs are compared by sha256 with
 the same commands run through each value's own `to_interval`, whose
@@ -84,8 +84,8 @@ def gens_of(spec, depth):
 @pytest.mark.parametrize("spec, depth", CLOSURE_SETS)
 def test_exports_match_per_point_path(spec, depth, bits, capsys, monkeypatch):
     shared = [digest(argv, capsys) for argv in commands(spec, depth, bits)]
-    monkeypatch.setattr(export, "_enclosures", per_point)
-    monkeypatch.setattr(cli, "_enclosures", per_point)
+    monkeypatch.setattr(export, "enclosures", per_point)
+    monkeypatch.setattr(cli, "enclosures", per_point)
     assert [digest(argv, capsys) for argv in commands(spec, depth, bits)] == shared
 
 
@@ -100,7 +100,7 @@ def test_values_sharing_coefficients_keep_their_own_enclosures():
     for bits in (8, 64, 200):
         for values, t_arg in [(params, PARAM_ARG), (numeric, None)]:
             for strings in (True, False):
-                shared = export._enclosures(values, bits, t_arg, "csv", strings)
+                shared = export.enclosures(values, bits, t_arg, "csv", strings)
                 alone = per_point(values, bits, t_arg, "csv", strings)
                 if not strings:
                     shared = [(iv._re, iv._im) for iv in shared]

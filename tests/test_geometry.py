@@ -16,10 +16,11 @@ from origami_rings import (
     bracket,
     intersect,
     nontrivial_monomials,
-    project_to_real_axis,
     root_of_unity,
 )
-from origami_rings.geometry import angle_arg_compare
+from origami_rings.geometry import angle_arg_compare, pair_multipliers, slide_to_axis
+from origami_rings.ratfunc import bulk_field
+from origami_rings.scalars import as_scalar
 from helpers import (
     oracle_angle_arg_compare,
     oracle_intersect,
@@ -49,7 +50,9 @@ def test_bracket_golden_values():
     val = bracket(z, z ** 4)
     assert val == -2 * root_of_unity(12, 3)
     iv = val.to_interval(64)
-    assert iv.contains_value(Fraction(0), Fraction(-2))
+    rl, rh = iv.real_bounds()
+    il, ih = iv.imag_bounds()
+    assert rl <= 0 <= rh and il <= -2 <= ih
 
 
 def test_bracket_antisymmetric_and_imaginary():
@@ -210,22 +213,33 @@ def test_identities_parametric():
 # --- projection ----------------------------------------------------------------
 
 
+def slide(z, gamma):
+    """z slid to the real axis along gamma by `slide_to_axis`, on the
+    vectors of the bulk field of gamma and z, with the x of
+    `pair_multipliers` for the pair (1, gamma)."""
+    z = as_scalar(z)
+    field = bulk_field((gamma.value, z))
+    d, ((x, _, _, _),) = pair_multipliers([(UnitAngle.real_axis(), gamma)], field)
+    (v,), g = field.vectors([z])
+    return field.element(slide_to_axis(field, x, v), d * g, getattr(field, "order", None))
+
+
 def test_project_golden_values():
     # z3 = 1 + i sqrt3 = 2 e^{i pi/3}; the line z3 + s e^{i pi/3} passes
     # through the origin (s = -2), so projecting along pi/3 gives 0
     z3 = root_of_unity(6, 1) * 2
-    assert project_to_real_axis(z3, ua(6, 1)).is_zero()
+    assert slide(z3, ua(6, 1)).is_zero()
     # along 2pi/3: imag part sqrt3 + s sqrt3/2 = 0 at s = -2, real part 1 + 1 = 2
-    got = project_to_real_axis(z3, ua(3, 1))
+    got = slide(z3, ua(3, 1))
     assert got == Rational(Fraction(2))
     # real input projects to itself
     r = Rational(Fraction(5, 3))
-    assert project_to_real_axis(r, ua(4, 1)) == r
+    assert slide(r, ua(4, 1)) == r
 
 
 def test_project_requires_transversal_direction():
     with pytest.raises(ParallelLinesError):
-        project_to_real_axis(root_of_unity(4, 1), UnitAngle.real_axis())
+        slide(root_of_unity(4, 1), UnitAngle.real_axis())
 
 
 def test_project_is_real_random():
@@ -235,7 +249,7 @@ def test_project_is_real_random():
         w = random_unit(rng)
         if w.is_one():
             continue
-        x = project_to_real_axis(z, w)
+        x = slide(z, w)
         assert x.is_real()
         assert x.to_obj() == oracle_project_to_real_axis(z, w).to_obj()
         # the projected point lies on the line through z with direction w
@@ -246,7 +260,7 @@ def test_project_parametric_matches_oracle():
     t = ParamRational.t_power
     for z in (t(1) + 2, t(2) * t(1).conj(), Rational(Fraction(5, 3)), Fraction(-1, 2)):
         for g in (t(1), t(3)):
-            x = project_to_real_axis(z, UnitAngle(g))
+            x = slide(z, UnitAngle(g))
             assert x.to_obj() == oracle_project_to_real_axis(z, UnitAngle(g)).to_obj()
 
 

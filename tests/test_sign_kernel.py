@@ -19,7 +19,6 @@ from origami_rings import (
     Rational,
     approximate,
     ceil_exact,
-    real_compare,
     real_imag_parts,
     real_sign,
     root_of_unity,
@@ -101,7 +100,7 @@ def test_near_ties_refine_past_64_bits(order):
             assert ceil_exact(v, stats) == oracle_ceil_exact(v)
             assert stats["bits"] >= 128
             assert stats["climbs"] <= 1
-    assert real_compare(y + Fraction(1, 3), Fraction(1, 3)) == real_sign(y)
+    assert real_sign(y + Fraction(1, 3) - Fraction(1, 3)) == real_sign(y)
 
 
 def test_exact_zeros():
@@ -110,7 +109,7 @@ def test_exact_zeros():
     stats = {}
     assert real_sign(zero, stats) == 0 and stats == {}
     assert real_sign(CyclotomicElement(12, [0, 0, 0, 0])) == 0
-    assert real_compare(sqrt3.embed(24), sqrt3) == 0
+    assert real_sign(sqrt3.embed(24) - sqrt3) == 0
     assert _imag_sign(sqrt3) == 0
     assert ceil_exact(zero) == 0
     # a value whose real part is 0 has no sign to refine, its imaginary part does
