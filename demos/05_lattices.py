@@ -2,8 +2,8 @@
 
 With directions {0, phi, theta} the only new point is x, the apex over the
 segment [0, 1]; everything constructed afterwards stays in the lattice it
-spans with 1.  Lattice equality, integer coordinates and the tangent form
-of the apex are all exact operations.
+spans with 1.  The apex, lattice equality and integer coordinates are all
+exact operations.
 """
 
 from fractions import Fraction
@@ -14,10 +14,10 @@ from origami_rings import (
     Rational,
     UnitAngle,
     closure_to_depth,
+    intersect,
     lattice_coordinates,
     root_of_unity,
     same_lattice,
-    tangent_point,
 )
 
 
@@ -25,8 +25,9 @@ def ua(order, k):
     return UnitAngle(root_of_unity(order, k))
 
 
-# apex for phi = pi/3, theta = 2pi/3 is e^{i pi/3}, via the tangent form
-x = tangent_point(ua(3, 1), ua(6, 1))
+# the line through 0 at pi/3 meets the line through 1 at 2pi/3 in the
+# apex x = e^{i pi/3}
+x = intersect(ua(6, 1), ua(3, 1), 0, 1)
 print("x =", x, "=", f"{x.to_interval(64).midpoint():.6f}")
 
 # every depth-2 point has integer coordinates (m, n) with point = m + n*x

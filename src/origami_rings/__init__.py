@@ -9,9 +9,7 @@ from .analysis import (
     Unknown,
     check_ring,
     lattice_coordinates,
-    quadratic_integer_test,
     same_lattice,
-    tangent_point,
     verify_certificate,
 )
 from .construction import (
@@ -97,13 +95,11 @@ __all__ = [
     "lattice_coordinates",
     "nontrivial_monomials",
     "projection_set",
-    "quadratic_integer_test",
     "real_imag_parts",
     "real_sign",
     "root_of_unity",
     "scalar_from_obj",
     "same_lattice",
     "step",
-    "tangent_point",
     "verify_certificate",
 ]

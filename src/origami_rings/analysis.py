@@ -1,16 +1,15 @@
 """Algebraic structure of intersection closures: lattices, modules, rings.
 
-For three directions the closure is the lattice Z + xZ and ring-ness is the
-decidable question of whether x is a quadratic integer.  For four or more
-directions the closure is spanned over Z[P] (P the projection values) by the
-nontrivial elementary monomials together with 1, and ring-ness is certified
-by expressing every pairwise product of generators back in the module; the
-search is complete up to a monomial degree bound, so its failure reports
-Unknown rather than NotRing.  Both are integer membership questions, and
-one solver decides them: Z + xZ is the module of the generators (1, x) at
-degree 0.  The membership solver and certificate evaluation work on the
-vectors of one bulk field (`ratfunc.bulk_field`), for numeric and
-parametric values alike.
+For four or more directions the closure is spanned over Z[P] (P the
+projection values) by the nontrivial elementary monomials together with 1;
+for three it is the lattice Z + xZ, the same module with P empty.  Ring-ness
+is certified by expressing every pairwise product of generators back in the
+module.  Three directions span the whole closure at degree 0, so there the
+search is complete and its failure is NotRing; with four or more it is
+complete only up to a monomial degree bound, and its failure reports
+Unknown.  One solver decides every such integer membership question.  It
+and certificate evaluation work on the vectors of one bulk field
+(`ratfunc.bulk_field`), for numeric and parametric values alike.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from .construction import nontrivial_monomials, nontrivial_projections
 from .diophantine import RationalRowSolver
 from .errors import CapExceededError, UnsupportedConfigurationError
-from .geometry import AngleSet, UnitAngle, angle_arg_compare, intersect
+from .geometry import AngleSet, intersect
 from .ratfunc import ParamField, bulk_field, common_denominator, scaled_numerator
 from .scalars import ExactScalar, Rational, as_scalar
 
@@ -34,27 +33,17 @@ log = logging.getLogger(__name__)
 # every certificate it emits can be evaluated again
 _MAX_CERT_DEGREE = 64
 
-# -- quadratic integers and lattices ------------------------------------------
-
-
-def quadratic_integer_test(x):
-    """(lam, mu) with x*x = lam*x + mu when x is a quadratic integer, else None.
-
-    That is x*x = mu + lam*x in Z + xZ (`lattice_coordinates`), and then lam
-    is the trace x + conj(x) and mu the negated norm -x*conj(x); x must not
-    be real (the lattice Z + xZ would degenerate).
-    """
-    coords = lattice_coordinates(x, as_scalar(x) * x)
-    return None if coords is None else coords[::-1]
+# -- lattices ------------------------------------------------------------------
 
 
 def same_lattice(x, y) -> bool:
-    """Whether Z + xZ = Z + yZ: each generator lies in the other's lattice."""
-    x = as_scalar(x)
-    y = as_scalar(y)
-    if x.is_real() or y.is_real():
+    """Whether Z + xZ = Z + yZ.  For y = m + n*x the lattice Z + yZ lies in
+    Z + xZ with index |n|, so they are equal exactly when y has coordinates
+    there with |n| = 1: one solve."""
+    if as_scalar(y).is_real():
         raise ValueError("degenerate lattice: generator is real")
-    return lattice_coordinates(x, y) is not None and lattice_coordinates(y, x) is not None
+    coords = lattice_coordinates(x, y)
+    return coords is not None and abs(coords[1]) == 1
 
 
 def lattice_coordinates(x, z):
@@ -70,32 +59,6 @@ def lattice_coordinates(x, z):
         return None
     coeffs = {t.generator: t.coefficient for t in cert.terms}
     return coeffs.get(0, 0), coeffs.get(1, 0)
-
-
-def tangent_point(theta: UnitAngle, phi: UnitAngle) -> ExactScalar:
-    """Intersection of the line through 0 at angle phi with the line through 1
-    at angle theta, via the in-field tangent form T = (w - conj w)/(w + conj w).
-
-    Requires 0 < arg(phi) < arg(theta) < pi.  A vertical direction makes its
-    tangent undefined, so that case falls back to the direct intersection.
-    """
-    w = theta.value
-    u = phi.value
-    if w.is_real() or u.is_real():
-        raise ValueError("angles must lie strictly inside (0, pi)")
-    if angle_arg_compare(phi, theta) >= 0:
-        raise ValueError("expected arg(phi) < arg(theta)")
-    direct = intersect(phi, theta, Rational(0), Rational(1))
-    ws = w + w.conj()
-    us = u + u.conj()
-    if ws.is_zero() or us.is_zero():
-        return direct
-    t_theta = (w - w.conj()) * ws.inv()
-    t_phi = (u - u.conj()) * us.inv()
-    x = t_theta * (1 + t_phi) * (t_theta - t_phi).inv()
-    if x != direct:
-        raise RuntimeError("tangent form disagrees with the direct intersection")
-    return x
 
 
 # -- Z[P]-module membership ----------------------------------------------------
@@ -380,38 +343,25 @@ def ring_context(angles: AngleSet) -> RingContext:
 
 def check_ring(angles: AngleSet, degree_bound: int = 3):
     """Decide (three directions) or certify (four or more) ring-ness of the
-    closure.
+    closure by solving each product of generators g_i*g_j, 1 <= i <= j, in
+    the module the generators span over Z[P].
 
-    Three directions: decidable both ways through the quadratic integer test.
-    Four or more: a full set of pairwise product certificates yields Ring; a
-    failed bounded search yields Unknown, never NotRing.  For a parametric
-    angle set the verdict is about the formal parameter field: individual
-    specializations of t may behave differently.  A negative degree bound
-    raises ValueError, and one above _MAX_CERT_DEGREE CapExceededError, as
-    `verify` would refuse the certificates.
+    A full set of product certificates yields Ring.  Three directions span
+    Z + xZ, the whole closure, and are solved at degree 0, so the search is
+    complete and an unresolved x*x is NotRing, with witness x, trace
+    x + conj(x) and norm x*conj(x).  With four or more a failed bounded
+    search yields Unknown, never NotRing.  For a parametric angle set the
+    verdict is about the formal parameter field: individual specializations
+    of t may behave differently.  A negative degree bound raises ValueError,
+    and one above _MAX_CERT_DEGREE CapExceededError, as `verify` would
+    refuse the certificates.
     """
     _cap_degree(degree_bound)
     context = ring_context(angles)
-    if len(angles) == 3:
-        x = context.generators[1]
-        pair = quadratic_integer_test(x)
-        if pair is None:
-            return NotRing(
-                context=context,
-                witness=x,
-                trace=x + x.conj(),
-                norm=x * x.conj(),
-            )
-        lam, mu = pair
-        terms = []
-        if lam:
-            terms.append(CertTerm(generator=1, monomial=(), coefficient=lam))
-        if mu:
-            terms.append(CertTerm(generator=0, monomial=(), coefficient=mu))
-        cert = Certificate(product=(1, 1), terms=tuple(terms), degree_bound=0)
-        return Ring(context=context, certificates=(cert,))
+    complete = len(angles) == 3
+    degree = 0 if complete else degree_bound
     generators, projections = context.generators, context.projections
-    solver = MembershipSolver(generators, projections, degree_bound)
+    solver = MembershipSolver(generators, projections, degree)
     certificates = []
     unresolved = []
     for i in range(1, len(generators)):
@@ -424,16 +374,24 @@ def check_ring(angles: AngleSet, degree_bound: int = 3):
                     Certificate(
                         product=(i, j),
                         terms=cert.terms,
-                        degree_bound=degree_bound,
+                        degree_bound=degree,
                     )
                 )
-    if unresolved:
-        return Unknown(
+    if not unresolved:
+        return Ring(context=context, certificates=tuple(certificates))
+    if complete:
+        x = generators[1]
+        return NotRing(
             context=context,
-            degree_bound=degree_bound,
-            unresolved=tuple(unresolved),
+            witness=x,
+            trace=x + x.conj(),
+            norm=x * x.conj(),
         )
-    return Ring(context=context, certificates=tuple(certificates))
+    return Unknown(
+        context=context,
+        degree_bound=degree_bound,
+        unresolved=tuple(unresolved),
+    )
 
 
 # -- JSON forms -------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the production code paths they check:
 line intersection is re-derived from a 2x2 real linear solve, the closure
 step from one intersect call per ordered point pair, elementary monomials
-and projections from one intersect call per value, quadratic
+and projections from one intersect call per value, the three-direction
+apex from its tangent form (`oracle_tangent_point`), quadratic
 integrality from expanding (X - x)(X - conj(x)), lattice comparison from
 brute-force enumeration of truncated lattices, lattice coordinates from
 dz/dx read off one coordinate (`oracle_lattice_coordinates`), and the
@@ -546,6 +547,21 @@ def oracle_intersect(alpha, beta, p, q):
     diff = q - p
     s = _cross(diff, b) / d
     return p + s * a
+
+
+def oracle_tangent_point(theta, phi):
+    """Intersection of the line through 0 at angle phi with the line through 1
+    at angle theta, 0 < arg(phi) < arg(theta) < pi, via the tangent form
+    T = (w - conj w)/(w + conj w): the body `tangent_point` had beside
+    `intersect`.  A vertical direction has no tangent, so that case solves
+    the two lines with `oracle_intersect`."""
+    w, u = theta.value, phi.value
+    ws, us = w + w.conj(), u + u.conj()
+    if ws.is_zero() or us.is_zero():
+        return oracle_intersect(phi, theta, Rational(0), Rational(1))
+    t_theta = (w - w.conj()) * ws.inv()
+    t_phi = (u - u.conj()) * us.inv()
+    return t_theta * (1 + t_phi) * (t_theta - t_phi).inv()
 
 
 def _is_integer(x):

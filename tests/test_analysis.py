@@ -1,5 +1,6 @@
-"""Lattice structure, Z[P]-module membership, ring verdicts, tangent forms."""
+"""Lattice structure, Z[P]-module membership, ring verdicts."""
 
+import itertools
 import logging
 import random
 from fractions import Fraction
@@ -27,10 +28,8 @@ from origami_rings import (
     lattice_coordinates,
     nontrivial_monomials,
     projection_set,
-    quadratic_integer_test,
     root_of_unity,
     same_lattice,
-    tangent_point,
     verify_certificate,
 )
 from origami_rings.analysis import (
@@ -52,6 +51,7 @@ from helpers import (
     oracle_evaluate_certificate,
     oracle_lattice_coordinates,
     oracle_param_membership,
+    oracle_tangent_point,
     param_coordinate_rows,
     quadratic_oracle,
     random_cyclo,
@@ -85,16 +85,18 @@ def param_angles():
     )
 
 
-# --- quadratic integer test -------------------------------------------------
+# --- quadratic integers ----------------------------------------------------------
+# x is a quadratic integer when x*x = mu + lam*x lies in Z + xZ, so
+# lattice_coordinates(x, x*x) reads (mu, lam); quadratic_oracle gives (lam, mu)
 
 
 def test_quadratic_golden_values():
-    assert quadratic_integer_test(root_of_unity(6, 1)) == (1, -1)
-    assert quadratic_integer_test(root_of_unity(4, 1)) == (0, -1)
+    assert lattice_coordinates(root_of_unity(6, 1), root_of_unity(6, 1) ** 2) == (-1, 1)
+    assert lattice_coordinates(root_of_unity(4, 1), root_of_unity(4, 1) ** 2) == (-1, 0)
     z1, _, _ = example_generators()
-    assert quadratic_integer_test(z1) is None  # norm 4/3 is not an integer
+    assert lattice_coordinates(z1, z1 * z1) is None  # norm 4/3 is not an integer
     with pytest.raises(ValueError):
-        quadratic_integer_test(Rational(Fraction(2)))
+        lattice_coordinates(Rational(Fraction(2)), Rational(Fraction(4)))
 
 
 def test_quadratic_matches_polynomial_expansion():
@@ -108,9 +110,11 @@ def test_quadratic_matches_polynomial_expansion():
         if x.is_real():
             continue
         count += 1
-        assert quadratic_integer_test(x) == quadratic_oracle(x)
-        if quadratic_integer_test(x) is not None:
-            lam, mu = quadratic_integer_test(x)
+        coords = lattice_coordinates(x, x * x)
+        oracle = quadratic_oracle(x)
+        assert coords == (None if oracle is None else oracle[::-1])
+        if coords is not None:
+            mu, lam = coords
             assert x * x == x * lam + mu
 
 
@@ -136,6 +140,8 @@ def test_same_lattice_golden():
     assert not same_lattice(x, x + Fraction(1, 2))
     with pytest.raises(ValueError):
         same_lattice(x, Rational(Fraction(1)))
+    with pytest.raises(ValueError):
+        same_lattice(Rational(Fraction(1)), x)
 
 
 def test_same_lattice_is_equivalence():
@@ -189,6 +195,16 @@ def test_same_lattice_matches_oracle():
                 assert same_lattice(x, y) == same_lattice_oracle(x, y)
                 equal += same_lattice(x, y)
     assert equal >= 100
+
+
+def test_same_lattice_builds_one_solver(caplog):
+    # y = m + n*x decides equality by |n| = 1, without solving x in Z + yZ
+    x = root_of_unity(6, 1)
+    for y, equal in ((-x + 5, True), (x * 2, False), (x + Fraction(1, 2), False)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="origami_rings.analysis"):
+            assert same_lattice(x, y) == equal
+        assert [r.msg.split(":")[0] for r in caplog.records] == ["membership solver"]
 
 
 def test_lattice_coordinates():
@@ -276,6 +292,54 @@ def test_lattice_coordinates_match_the_dz_dx_oracle():
     assert found >= 60
 
 
+# every {0, pi*a/n, pi*b/n} with 0 < a < b < n <= 12, as sets
+THREE_DIRECTION_SETS = sorted(
+    {
+        ",".join(["0"] + [f"pi*{f.numerator}/{f.denominator}" for f in sorted(s)])
+        for s in {
+            frozenset(Fraction(k, n) for k in ks)
+            for n in range(3, 13)
+            for ks in itertools.combinations(range(1, n), 2)
+        }
+    }
+)
+THREE_DIRECTION_RINGS = [
+    "0,pi*1/2,pi*2/3",
+    "0,pi*1/2,pi*3/4",
+    "0,pi*1/3,pi*1/2",
+    "0,pi*1/3,pi*2/3",
+    "0,pi*1/4,pi*1/2",
+    "0,pi*1/6,pi*1/3",
+    "0,pi*2/3,pi*5/6",
+]
+
+
+def test_three_direction_verdicts():
+    # Z + xZ is the whole closure, so the degree-0 search is complete: Ring
+    # exactly when x is a quadratic integer, and NotRing otherwise
+    assert len(THREE_DIRECTION_SETS) == 196
+    rings, not_rings = [], 0
+    for spec in THREE_DIRECTION_SETS:
+        angles = parse_angle_list(spec)[0]
+        verdict = check_ring(angles)
+        ctx = verdict.context
+        x = ctx.generators[1]
+        assert isinstance(verdict, Ring) == (quadratic_oracle(x) is not None), spec
+        if isinstance(verdict, Ring):
+            rings.append(spec)
+            (cert,) = verdict.certificates
+            assert (cert.product, cert.degree_bound) == ((1, 1), 0), spec
+            assert verify_certificate(cert, ctx.generators, ctx.projections), spec
+            assert check_ring(angles, degree_bound=5).certificates == (cert,), spec
+        else:
+            assert isinstance(verdict, NotRing), spec
+            assert verdict.witness == x, spec
+            assert (verdict.trace, verdict.norm) == (x + x.conj(), x * x.conj()), spec
+            not_rings += 1
+    assert rings == THREE_DIRECTION_RINGS
+    assert not_rings == 189
+
+
 @pytest.mark.parametrize(
     "spec, verdict",
     [
@@ -296,33 +360,24 @@ def test_three_direction_check_ring_takes_one_inverse(spec, verdict, monkeypatch
     assert len(calls) == 1
 
 
-# --- tangent point --------------------------------------------------------------
+# --- the apex x against its tangent form -----------------------------------------
 
 
 def test_tangent_point_golden():
     # phi = pi/3, theta = 2pi/3 meet at e^{i pi/3}
-    got = tangent_point(ua(3, 1), ua(6, 1))
-    assert got == root_of_unity(6, 1)
+    got = intersect(ua(6, 1), ua(3, 1), Rational(0), Rational(1))
+    assert got == oracle_tangent_point(ua(3, 1), ua(6, 1)) == root_of_unity(6, 1)
 
 
 def test_tangent_point_vertical_fallback():
-    # theta = pi/2 has no tangent; the direct intersection takes over
-    got = tangent_point(ua(4, 1), ua(6, 1))
+    # theta = pi/2 has no tangent; the oracle solves the lines directly
+    got = intersect(ua(6, 1), ua(4, 1), Rational(0), Rational(1))
+    assert got == oracle_tangent_point(ua(4, 1), ua(6, 1))
     assert got == root_of_unity(6, 1) * 2  # 1 + i sqrt3
-
-
-def test_tangent_point_validation():
-    with pytest.raises(ValueError):
-        tangent_point(ua(6, 1), ua(3, 1))  # arguments in the wrong order
-    with pytest.raises(ValueError):
-        tangent_point(ua(6, 1), ua(6, 1))
-    with pytest.raises(ValueError):
-        tangent_point(ua(6, 1), ua(1, 0))  # real direction
 
 
 def test_tangent_point_matches_intersect_random():
     args = [(12, 1), (8, 1), (6, 1), (12, 5), (8, 3), (3, 1), (4, 1), (12, 4)]
-    from origami_rings import intersect
     from origami_rings.geometry import angle_arg_compare
 
     for i, a in enumerate(args):
@@ -332,7 +387,7 @@ def test_tangent_point_matches_intersect_random():
                 phi, theta = theta, phi
             if angle_arg_compare(phi, theta) == 0:
                 continue
-            assert tangent_point(theta, phi) == intersect(
+            assert oracle_tangent_point(theta, phi) == intersect(
                 phi, theta, Rational(0), Rational(1)
             )
 

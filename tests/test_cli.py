@@ -295,6 +295,22 @@ def test_check_ring_example_and_verify_round_trip(capsys, tmp_path):
     assert "FAILED" in err
 
 
+def test_verify_reads_no_term_order(capsys, tmp_path):
+    # a three-direction certificate lists its terms in column order,
+    # generator 0 first; a file with them the other way round, as check-ring
+    # wrote them before x*x was solved in the common loop, still verifies
+    out = tmp_path / "ring.json"
+    code, _, _ = invoke(["check-ring", "--angles", THREE_RING, "--out", str(out)], capsys)
+    assert code == 0
+    obj = json.loads(out.read_text())
+    (cert,) = obj["certificates"]
+    assert [t["generator"] for t in cert["terms"]] == [0, 1]
+    cert["terms"].reverse()
+    code, stdout, _ = verify_obj(obj, capsys, tmp_path)
+    assert code == 0
+    assert "verified" in stdout
+
+
 def test_verify_not_ring_and_unknown(capsys, tmp_path):
     out = tmp_path / "nr.json"
     invoke(["check-ring", "--angles", THREE_NOT, "--out", str(out)], capsys)

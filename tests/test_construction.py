@@ -27,6 +27,7 @@ from origami_rings import (
     step,
 )
 from origami_rings import construction
+from origami_rings.analysis import ring_context
 from origami_rings.anglespec import parse_angle_list
 from origami_rings.cli import run
 from origami_rings.construction import nontrivial_projections
@@ -424,17 +425,21 @@ def objs(values):
     return None if values is None else [v.to_obj() for v in values]
 
 
-@pytest.mark.parametrize("spec", ORACLE_SETS + POOL_SETS + [MIXED_ORDERS])
-def test_projection_set_matches_intersect_oracle(spec, capsys):
+def assert_projection_set_matches_intersect_oracle(spec):
     angles = parse_angle_list(spec)[0]
     got, want = projection_set(angles), oracle_projection_set(angles)
-    assert objs(nontrivial_projections(parse_angle_list(spec)[0])) == objs(want.nontrivial)
-    assert objs(got.projections) == objs(want.projections)
-    assert objs(got.nontrivial) == objs(want.nontrivial)
-    assert objs(got.family) == objs(want.family)
-    assert (got.x is None) == (want.x is None)
+    assert objs(nontrivial_projections(parse_angle_list(spec)[0])) == objs(want.nontrivial), spec
+    assert objs(got.projections) == objs(want.projections), spec
+    assert objs(got.nontrivial) == objs(want.nontrivial), spec
+    assert objs(got.family) == objs(want.family), spec
+    assert (got.x is None) == (want.x is None), spec
     if got.x is not None:
-        assert got.x.to_obj() == want.x.to_obj()
+        assert got.x.to_obj() == want.x.to_obj(), spec
+
+
+@pytest.mark.parametrize("spec", ORACLE_SETS + POOL_SETS + [MIXED_ORDERS])
+def test_projection_set_matches_intersect_oracle(spec, capsys):
+    assert_projection_set_matches_intersect_oracle(spec)
     for command in ("elementary", "projections"):
         if (spec, command) in POOL_BYTES:
             code = run([command, "--angles", spec])
@@ -459,6 +464,18 @@ def test_nontrivial_projections_match_the_projection_set():
         assert (got.x is None) == (want.x is None), spec
         if got.x is not None:
             assert got.x.to_obj() == want.x.to_obj(), spec
+
+
+def test_family_sets_match_the_intersect_oracle():
+    # the table-built projection set and ring generators against one
+    # intersect call per value, beside the vector oracle above, which reads
+    # the same table
+    assert len(FAMILY_SETS) == 479
+    for spec in FAMILY_SETS:
+        assert_projection_set_matches_intersect_oracle(spec)
+        angles = parse_angle_list(spec)[0]
+        want = [m.value for m in oracle_nontrivial_monomials(angles)]
+        assert objs(ring_context(angles).generators[1:]) == objs(want), spec
 
 
 def test_nontrivial_projections_are_held_per_instance(monkeypatch):

@@ -1,12 +1,15 @@
 """Golden outputs: sha256 digests of the JSON that `elementary`,
 `projections`, `check-ring` and `density` write, with `meta` dropped, for
-angle sets of orders 8 to 120, one without the real axis and the parametric
+angle sets of orders 6 to 120, one without the real axis and the parametric
 family.  Together with the exit codes they pin the CLI's bytes.
 
 `check-ring` is also pinned at the degree the certify benchmark runs (3)
 and at degree 0 (generators only).  Those digests were recorded on the
 code as it stood before the membership solver took integer rows, so they
-hold the rewrite to the old solver's bytes."""
+hold the rewrite to the old solver's bytes.  The two three-direction `ring`
+sets (`hexagonal`, `square`) were recorded once `check_ring` solved x*x in
+the same loop as every other product, which lists a certificate's terms in
+column order, generator 0 first."""
 
 import hashlib
 import json
@@ -21,6 +24,8 @@ SETS = {
     "fifth": "0,pi*1/5,pi*1/4,pi*1/3",
     "sixth": "0,pi*1/6,pi*1/2,pi*5/6",
     "five": "0,pi*1/6,pi*1/3,pi*1/2,pi*2/3",
+    "hexagonal": "0,pi*1/3,pi*2/3",
+    "square": "0,pi*1/4,pi*1/2",
     "twelfth": "0,pi*1/12,pi*1/6,pi*1/4",
     "tenth": "0,pi*1/10,pi*1/4,pi*1/2",
     "order120": "0,pi*1/10,pi*1/12",
@@ -49,6 +54,10 @@ GOLDEN = {
     ('five', 'density'): (0, '207631e636145d9e0d4abfec9257cccf88f6630d2662a2149c942f27ce519961'),
     ('five', 'elementary'): (0, '446e8e9557156d332bc0fcd782f3a6c01176c60183ea015bc3ec4447dedd8746'),
     ('five', 'projections'): (0, '90f9361ca1fb5b0e3d9eed80b6ec24cd2ec2ec4fecfce8228b1764168e3d26f8'),
+    ('hexagonal', 'check-ring'): (0, 'd357f3ff00fa5a9271486a53adfbddcacb0f5d195ef80ec374948630961ace20'),
+    ('hexagonal', 'density'): (2, None),
+    ('hexagonal', 'elementary'): (0, 'd8ffbd8ee1534af6b9af0f2b3c1b3e7f6005dd7dd856a335a8f86c312b0522c3'),
+    ('hexagonal', 'projections'): (0, '8355968b77049856b2bc3c6c3b1749df7dc474d2f5fef89bdf0801619d96f3b4'),
     ('no_axis', 'check-ring'): (2, None),
     ('no_axis', 'density'): (2, None),
     ('no_axis', 'elementary'): (0, '545a62431c5ab865ae3133369c458a46aa7a4321a8dca4f6e5a6f8bacb3ae914'),
@@ -69,6 +78,10 @@ GOLDEN = {
     ('sixth', 'density'): (0, '48bc0a5a5afeaefd5a58b2b02aeb482b0e935eb993a0a9b99f63858879240454'),
     ('sixth', 'elementary'): (0, '744a71c67d39ade2843e8dfc321b5bdd36b435b8c60a485cc9aa1beda983a910'),
     ('sixth', 'projections'): (0, 'c21bd64bda36a34bf1ea5c4472624d21d1c05e00139a72d8616488b17d54dd4f'),
+    ('square', 'check-ring'): (0, '75e7ec1cee1dae97a7b8bd9c4e993e764a37aa2cf9c815aec5b6e55379926da4'),
+    ('square', 'density'): (2, None),
+    ('square', 'elementary'): (0, '78db1df7e6e8e356bf3148f634b8e87e91321f74c922d2d26f3168dbe9e81c94'),
+    ('square', 'projections'): (0, '8355968b77049856b2bc3c6c3b1749df7dc474d2f5fef89bdf0801619d96f3b4'),
     ('tenth', 'check-ring'): (0, '94006e90fc1535cdf91c11d6b5f211f5a8439ee2c3682442c0c56d4e44c3c699'),
     ('tenth', 'density'): (0, '18565ffd0e60038c48c25c93829fc7cbae80a8affc35df12ff80df41488b6328'),
     ('tenth', 'elementary'): (0, 'bea45e313673578f4404105399e082bd6b897130f1eb4995c64065ab71d8fbe6'),
