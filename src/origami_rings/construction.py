@@ -258,17 +258,22 @@ def _slides(angles: AngleSet):
     return field, d * s, slides
 
 
-def _project(field, den, slides, monomials) -> dict:
-    """Per distinct projection of `monomials` (elementary values over the
-    table's denominator) other than 0 and 1, its numerator tuple over den
-    mapped to the order the scalar formula gives it where first met: the
-    lcm of the orders of the monomial's pair and of the direction."""
+def _along(field, slides, monomials) -> dict:
+    """Per monomial (an elementary value over the table's denominator), its
+    projections along the slides' directions, in the slides' order."""
+    return {mono: [slide_to_axis(field, slide[0], mono) for slide in slides] for mono in monomials}
+
+
+def _project(field, den, slides, monomials, along) -> dict:
+    """Per distinct projection of `monomials` (`along` holds them) other
+    than 0 and 1, its numerator tuple over den mapped to the order the
+    scalar formula gives it where first met: the lcm of the orders of the
+    monomial's pair and of the direction."""
     zero = (0,) * field.degree
     one = (den,) + zero[1:]
     table = {}
     for mono, (_, _, order) in monomials.items():
-        for slide, _, _, g_order in slides:
-            v = slide_to_axis(field, slide, mono)
+        for v, (_, _, _, g_order) in zip(along[mono], slides):
             if v != zero and v != one:
                 table.setdefault(v, math.lcm(order, g_order))
     return table
@@ -293,7 +298,8 @@ def nontrivial_projections(angles: AngleSet) -> tuple[ExactScalar, ...]:
     vectors become scalars and get keys."""
     if angles._projections is None:
         field, den, slides = _slides(angles)
-        table = _project(field, den, slides, angles._elementary_table()[4])
+        nontrivial = angles._elementary_table()[4]
+        table = _project(field, den, slides, nontrivial, _along(field, slides, nontrivial))
         angles._projections = _in_key_order(_scalars_by_key(field, den, table))
     return angles._projections
 
@@ -302,25 +308,32 @@ def projection_set(angles: AngleSet) -> ProjectionSet:
     """The full projection set of the angle set, built on each call on the
     vectors of its elementary table (`AngleSet._elementary_table`), for
     numeric and parametric sets alike: every elementary value slid to the
-    axis along every non-axis direction, 0 and 1 added, and the x-family
-    checked (`_x_family`); its ``nontrivial`` is `nontrivial_projections`."""
+    axis along every non-axis direction, once, 0 and 1 added, and the
+    x-family checked (`_x_family`).  Its ``nontrivial`` is
+    `nontrivial_projections`; while the angle set does not hold P yet, the
+    same slides build it, from the nontrivial values in their table order
+    and at their orders."""
     field, den, slides = _slides(angles)
-    multipliers, elementary = angles._elementary_table()[2:4]
+    multipliers, elementary, nontrivial = angles._elementary_table()[2:]
+    along = _along(field, slides, elementary)
     all_proj = {Rational(0).canonical_key(): Rational(0), Rational(1).canonical_key(): Rational(1)}
-    all_proj.update(_scalars_by_key(field, den, _project(field, den, slides, elementary)))
+    all_proj.update(_scalars_by_key(field, den, _project(field, den, slides, elementary, along)))
+    if angles._projections is None:
+        table = _project(field, den, slides, nontrivial, along)
+        angles._projections = _in_key_order(_scalars_by_key(field, den, table))
     x = family = None
     if len(slides) == 3 and angles.contains_one():
         # directions 1 and 3, after the axis, meet widest (the fifth of the
-        # six pairs); project along 2
+        # six pairs), and that elementary value is projected along 2
         x1, _, y2, order = multipliers[4]
-        cand = slide_to_axis(field, slides[1][0], tuple(map(sub, y2, x1)))
+        cand = along[tuple(map(sub, y2, x1))][1]
         zero = (0,) * field.degree
         if cand != zero and cand != (den,) + zero[1:]:
             x = field.element(cand, den, math.lcm(order, slides[1][3]))
             family = _x_family(x, all_proj)
     return ProjectionSet(
         projections=_in_key_order(all_proj),
-        nontrivial=nontrivial_projections(angles),
+        nontrivial=angles._projections,
         x=x,
         family=family,
     )

@@ -10,8 +10,9 @@ folds through a per-order table of x^k mod Phi_n.  `AmbientField` hands the
 same integer vectors to bulk work at one order, such as the closure step
 and the membership solver (`ratfunc.bulk_field` picks it, or `ParamField`
 for parametric values).  Canonical keys first descend to the smallest
-cyclotomic field containing the value, so equal values constructed in
-different orders compare and hash identically.
+cyclotomic field containing the value, on the integer numerators over the
+value's own denominator, so equal values constructed in different orders
+compare and hash identically.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import mul
 
 from mpmath.libmp import mpf_shift, mpi_add, mpi_mul, round_ceiling, round_floor, to_int
 
@@ -169,46 +171,62 @@ def _reduce(n: int, coeffs) -> tuple[list[int], int]:
 
 @functools.lru_cache(maxsize=None)
 def _descent_rows(n: int, p: int):
-    """Integer rows taking a vector of Q(zeta_n) down to Q(zeta_k), k = n/p.
+    """Integer rows taking a vector of Q(zeta_n) down to Q(zeta_k), k = n/p,
+    for a prime p that does not divide k.
 
-    They give its coordinates along a relative power basis over Q(zeta_k):
-    z^0, ..., z^(p-1) when p divides k, since z^p = zeta_k; otherwise
-    zeta_p^0, ..., zeta_p^(p-2), with z = zeta_k^a * zeta_p^b for
-    a*p + b*k = 1 and zeta_p^(p-1) minus the sum of the others.  The value
-    lies in Q(zeta_k) exactly when its parts along every basis element but
-    1 vanish, and its part along 1 is then its vector of order k.  Rows are
-    returned sparse, as (coordinate rows, vanishing rows).
+    They give its coordinates along the relative power basis
+    zeta_p^0, ..., zeta_p^(p-2) over Q(zeta_k), with z = zeta_k^a * zeta_p^b
+    for a*p + b*k = 1 and zeta_p^(p-1) minus the sum of the others.  The
+    value lies in Q(zeta_k) exactly when its parts along every basis element
+    but 1 vanish, and its part along 1 is then its vector of order k.  Rows
+    are returned dense, of length phi(n), as (coordinate rows, vanishing
+    rows).
     """
     k = n // p
-    if k % p == 0:  # z^i = z^(i mod p) * zeta_k^(i div p)
-        width = p
-        places = [(i % p, i // p) for i in range(euler_phi(n))]
-    else:  # z^i = zeta_p^(b*i) * zeta_k^(a*i)
-        width, a = p - 1, pow(p, -1, k)
-        b = (1 - a * p) // k
-        places = [(b * i % p, a * i % k) for i in range(euler_phi(n))]
+    a = pow(p, -1, k)
+    b = (1 - a * p) // k
     table = _power_table(k)
-    rows = [[[] for _ in range(euler_phi(k))] for _ in range(width)]
-    for i, (t, e) in enumerate(places):
-        # zeta_p^(p-1) is minus the sum of the other powers
-        for u, sign in [(t, 1)] if t < width else [(u, -1) for u in range(width)]:
+    phi = euler_phi(n)
+    rows = [[[0] * phi for _ in range(euler_phi(k))] for _ in range(p - 1)]
+    for i in range(phi):
+        # z^i = zeta_p^(b*i) * zeta_k^(a*i), and zeta_p^(p-1) is minus the
+        # sum of the other powers
+        t, e = b * i % p, a * i % k
+        for u, sign in [(t, 1)] if t < p - 1 else [(u, -1) for u in range(p - 1)]:
             for s, c in table[e]:
-                rows[u][s].append((i, sign * c))
+                rows[u][s][i] += sign * c
     return tuple(map(tuple, rows[0])), tuple(tuple(row) for part in rows[1:] for row in part)
 
 
 def _subfield_coords(n: int, m: int, num):
     """Numerators in Q(zeta_m), over the same denominator, of the vector num
-    of Q(zeta_n), m | n; None when the value lies outside Q(zeta_m)."""
+    of Q(zeta_n), m | n; None when the value lies outside Q(zeta_m).  One
+    prime p of n/m at a time: when p divides k = n/p, z^i is
+    z^(i mod p) * zeta_k^(i div p), so the part along z^t is num[t::p];
+    otherwise the rows of `_descent_rows` give the parts."""
     while n != m:
         p = _prime_divisors(n // m)[0]
-        coord_rows, vanishing_rows = _descent_rows(n, p)
-        for row in vanishing_rows:
-            if sum(t * num[k] for k, t in row):
+        k = n // p
+        if k % p == 0:
+            if any(any(num[t::p]) for t in range(1, p)):
                 return None
-        num = [sum(t * num[k] for k, t in row) for row in coord_rows]
-        n //= p
+            num = num[::p]
+        else:
+            coord_rows, vanishing_rows = _descent_rows(n, p)
+            for row in vanishing_rows:
+                if sum(map(mul, row, num)):
+                    return None
+            num = [sum(map(mul, row, num)) for row in coord_rows]
+        n = k
     return num
+
+
+def _ratio_text(c: int, den: int) -> bytes:
+    """c/den in lowest terms as str(Fraction(c, den)) writes it; den > 0."""
+    g = math.gcd(c, den)
+    if g == den:
+        return b"%d" % (c // g)
+    return b"%d/%d" % (c // g, den // g)
 
 
 def _check_order(order) -> None:
@@ -377,24 +395,30 @@ class CyclotomicElement(ExactScalar):
             raise ValueError(f"{self.order} does not divide {order}")
         return self._map_exponents(order, order // self.order)
 
+    def _minimal(self) -> tuple[int, tuple[int, ...]]:
+        """The smallest cyclotomic order containing the value, with its
+        numerators there over the value's own denominator: the integer
+        descent, memoized."""
+        if self._min is None:
+            n, num = self.order, self._num
+            while n > 1:
+                if not any(num[1:]):
+                    n, num = 1, num[:1]
+                    break
+                for p in _prime_divisors(n):
+                    sub = _subfield_coords(n, n // p, num)
+                    if sub is not None:
+                        n, num = n // p, sub
+                        break
+                else:
+                    break
+            self._min = (n, tuple(num))
+        return self._min
+
     def minimal_form(self) -> tuple[int, tuple[Fraction, ...]]:
         """Smallest cyclotomic order containing the value, with coordinates."""
-        if self._min is not None:
-            return self._min
-        n, num, den = self.order, self._num, self._den
-        while n > 1:
-            if not any(num[1:]):
-                n, num = 1, num[:1]
-                break
-            for p in _prime_divisors(n):
-                sub = _subfield_coords(n, n // p, num)
-                if sub is not None:
-                    n, num = n // p, sub
-                    break
-            else:
-                break
-        self._min = (n, tuple(Fraction(c, den) for c in num))
-        return self._min
+        n, num = self._minimal()
+        return n, tuple(Fraction(c, self._den) for c in num)
 
     # -- predicates and keys ------------------------------------------------
 
@@ -414,18 +438,20 @@ class CyclotomicElement(ExactScalar):
         return Fraction(self._num[0], self._den)
 
     def canonical_key(self):
+        """The minimal form as text, each coordinate written as
+        str(Fraction) writes it."""
         if self._key is None:
-            n, cs = self.minimal_form()
+            n, num = self._minimal()
+            den = self._den
             if n == 1:
-                self._key = b"Q:%s" % str(cs[0]).encode()
+                self._key = b"Q:" + _ratio_text(num[0], den)
             else:
-                body = ",".join(str(c) for c in cs)
-                self._key = b"C:%d:%s" % (n, body.encode())
+                body = b",".join([_ratio_text(c, den) for c in num])
+                self._key = b"C:%d:%s" % (n, body)
         return self._key
 
     def canonical_sign(self):
-        _, cs = self.minimal_form()
-        for c in cs:
+        for c in self._minimal()[1]:
             if c:
                 return 1 if c > 0 else -1
         return 0
@@ -540,6 +566,30 @@ class AmbientField:
         for i, t in _power_table(self.order)[k % self.order]:
             num[i] = t
         return num
+
+    def exponent(self, x) -> int | None:
+        """e with x = +-zeta_n^e, read off the rows of zeta_n^0, ...,
+        zeta_n^(n-1); None when x is no root of unity of this field up to
+        sign.  Either sign matches, since an odd n has -zeta_n^e outside
+        those rows."""
+        got = self.vector(x)
+        if got is None or got[1] != 1:
+            return None
+        row = tuple((i, c) for i, c in enumerate(got[0]) if c)
+        neg = tuple((i, -c) for i, c in row)
+        for e, power in enumerate(_power_table(self.order)[: self.order]):
+            if power == row or power == neg:
+                return e
+        return None
+
+    def power_sum(self, terms) -> list[int]:
+        """Numerators of the sum of c * zeta_n^k over (k, c) in terms."""
+        table = _power_table(self.order)
+        out = [0] * self.degree
+        for k, c in terms:
+            for i, t in table[k % self.order]:
+                out[i] += c * t
+        return out
 
     def conj(self, num) -> list[int]:
         return _vec_map(num, self.order, self.order - 1)

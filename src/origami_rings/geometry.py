@@ -13,7 +13,7 @@ import itertools
 import math
 from operator import sub
 
-from .cyclotomic import field_order
+from .cyclotomic import AmbientField, field_order
 from .errors import ParallelLinesError
 from .ratfunc import ParamRational, bulk_field
 from .scalars import ExactScalar, Rational, as_scalar, refined_sign
@@ -87,28 +87,65 @@ def pair_multipliers(pairs, field) -> tuple[int, list[tuple]]:
     the line offsets of the closure step as U_p = x*conj(p) - y*p and
     V_q = x*conj(q) - y'*q, so intersect(alpha, beta, p, q) = U_p - V_q:
     x = alpha*beta/[alpha, beta], y = conj(alpha)*beta/[alpha, beta] and
-    y' = alpha*conj(beta)/[alpha, beta].  Each pair works in its own bulk
-    field, of order lcm(ord alpha, ord beta), where it takes one inverse, of
-    its bracket.  Returns (den, rows), one row (x, y, y', order) per pair:
-    vectors of `field` over one denominator, and that order.
+    y' = alpha*conj(beta)/[alpha, beta].  Returns (den, rows), one row
+    (x, y, y', order) per pair: vectors of `field` over one denominator, and
+    the order lcm(ord alpha, ord beta).
+
+    In a cyclotomic field of order n, where alpha = +-zeta_n^a and
+    beta = +-zeta_n^b (`AmbientField.exponent`), the multipliers depend on
+    alpha^2 and beta^2 alone: with w = (beta/alpha)^2 = zeta_n^d of order m,
+    y' = 1/(1 - w) = -(1/m)*sum_{0<j<m} j*w^j, since
+    sum_{j<m} j*w^j = m/(w - 1), and then y = y' - 1 and x = beta^2*y'.
+    Such a pair takes no inverse.  A parametric direction, or a numeric unit
+    that is no root of unity, makes its pair work in its own bulk field, of
+    order lcm(ord alpha, ord beta), where it takes one inverse, of its
+    bracket.
     """
+    pairs = list(pairs)
+    exponents = {}  # by id: every direction is held by `pairs`
+    if isinstance(field, AmbientField):
+        for angle in itertools.chain.from_iterable(pairs):
+            if id(angle) not in exponents:
+                exponents[id(angle)] = field.exponent(angle.value)
     values, orders = [], []
     for alpha, beta in pairs:
-        ends = (alpha.value, beta.value)
-        pair = bulk_field(ends)
-        # the products and the bracket share a denominator, which cancels
-        (a, b), _ = pair.vectors(ends)
-        acb = pair.mul(a, pair.conj(b))
-        denom = list(map(sub, acb, pair.conj(acb)))
-        if not any(denom):
-            raise ParallelLinesError("directions coincide mod sign")
         order = math.lcm(field_order(alpha.value), field_order(beta.value))
-        inv, d = pair.vector(pair.element(denom, 1, order).inv())
-        for p in (pair.mul(a, b), pair.mul(pair.conj(a), b), acb):
-            values.append(pair.element(pair.mul(p, inv), d, order))
+        a, b = exponents.get(id(alpha)), exponents.get(id(beta))
+        if a is None or b is None:
+            values.extend(_bracket_multipliers(alpha, beta, field, order))
+        else:
+            n = field.order
+            d = 2 * (b - a) % n
+            if not d:
+                raise ParallelLinesError("directions coincide mod sign")
+            m = n // math.gcd(n, d)
+            y2 = field.power_sum((d * j, -j) for j in range(1, m))
+            x = field.power_sum((2 * b + d * j, -j) for j in range(1, m))
+            # x/y' is a root of unity and y' - y = 1, so the three share
+            # the denominator of y'
+            g = math.gcd(m, *y2)
+            for num in (x, [y2[0] - m] + y2[1:], y2):
+                values.append(([c // g for c in num], m // g))
         orders.append(order)
-    vectors, den = field.vectors(values)
+    den = math.lcm(*(d for _, d in values))
+    vectors = [[c * (den // d) for c in num] for num, d in values]
     return den, [(*vectors[3 * k : 3 * k + 3], order) for k, order in enumerate(orders)]
+
+
+def _bracket_multipliers(alpha, beta, field, order):
+    """(x, y, y') of one pair as vectors of `field` over their denominators,
+    from one inverse of the bracket in the pair's own bulk field."""
+    ends = (alpha.value, beta.value)
+    pair = bulk_field(ends)
+    # the products and the bracket share a denominator, which cancels
+    (a, b), _ = pair.vectors(ends)
+    acb = pair.mul(a, pair.conj(b))
+    denom = list(map(sub, acb, pair.conj(acb)))
+    if not any(denom):
+        raise ParallelLinesError("directions coincide mod sign")
+    inv, d = pair.vector(pair.element(denom, 1, order).inv())
+    for p in (pair.mul(a, b), pair.mul(pair.conj(a), b), acb):
+        yield field.vector(pair.element(pair.mul(p, inv), d, order))
 
 
 def _imag_sign(v: ExactScalar) -> int:

@@ -34,7 +34,10 @@ by the higher backend's `from_rational` (`oracle_coerce`) and combines by
 the `_same` hooks (`oracle_combine`), where the operators fold an operand
 into the other value in place.
 The cyclotomic inverse multiplies all other Galois conjugates
-(`oracle_inv`).  Phi_n is x^n - 1 divided by Phi_d for every proper
+(`oracle_inv`).  Canonical keys and signs are read off a Fraction minimal
+form (`oracle_minimal_form`, `oracle_canonical_key`), and the closed-form
+pair multipliers are rebuilt with one inverse of each pair's bracket in the
+pair's own bulk field (`oracle_pair_multipliers`).  Phi_n is x^n - 1 divided by Phi_d for every proper
 divisor d, over Q (`oracle_cyclotomic_polynomial`) and in Z[x]
 (`oracle_cyclotomic_division`).  Cyclotomic reduction is a Fraction polynomial division by Phi_n
 (`oracle_reduce`), and descent to a subfield a Fraction Gauss-Jordan
@@ -57,6 +60,7 @@ from origami_rings import (
     CyclotomicElement,
     ElementaryMonomial,
     GenerationSet,
+    ParallelLinesError,
     ParamRational,
     PrecisionError,
     ProjectionSet,
@@ -72,9 +76,10 @@ from origami_rings import (
 )
 from origami_rings._polys import zdiv
 from origami_rings.analysis import Certificate, CertTerm
+from origami_rings.cyclotomic import _prime_divisors, _subfield_coords, field_order
 from origami_rings.density import DensityWitness
 from origami_rings.diophantine import _reduce, _replay
-from origami_rings.geometry import _imag_sign, _param_exponent, pair_multipliers
+from origami_rings.geometry import _imag_sign, _param_exponent
 from origami_rings.ratfunc import bulk_field
 from origami_rings.scalars import as_scalar
 from origami_rings.intervals import interval_context
@@ -485,6 +490,43 @@ def oracle_inv(x):
     return others * Rational(1 / (x * others).as_fraction())
 
 
+def oracle_minimal_form(x):
+    """Smallest cyclotomic order containing a CyclotomicElement, with its
+    coordinates as Fractions: the Fraction body `minimal_form` had before
+    keys were read off integer numerators.  It descends with the library's
+    `_subfield_coords`, which `oracle_subfield_coords` checks on its own."""
+    n, num, den = x.order, x._num, x._den
+    while n > 1:
+        if not any(num[1:]):
+            n, num = 1, num[:1]
+            break
+        for p in _prime_divisors(n):
+            sub = _subfield_coords(n, n // p, num)
+            if sub is not None:
+                n, num = n // p, sub
+                break
+        else:
+            break
+    return n, tuple(Fraction(c, den) for c in num)
+
+
+def oracle_canonical_key(x):
+    """The canonical key of a CyclotomicElement from its Fraction minimal
+    form (`oracle_minimal_form`)."""
+    n, cs = oracle_minimal_form(x)
+    if n == 1:
+        return b"Q:%s" % str(cs[0]).encode()
+    return b"C:%d:%s" % (n, ",".join(str(c) for c in cs).encode())
+
+
+def oracle_canonical_sign(x):
+    """Sign of the first nonzero Fraction of `oracle_minimal_form`."""
+    for c in oracle_minimal_form(x)[1]:
+        if c:
+            return 1 if c > 0 else -1
+    return 0
+
+
 def random_fraction(rng, num_bound=9, den_bound=5):
     return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
 
@@ -865,6 +907,30 @@ def oracle_cyclotomic_membership(solver, target):
     return None if solution is None else _certificate_of_solution(solver, solution)
 
 
+def oracle_pair_multipliers(pairs, field):
+    """(den, rows) of `geometry.pair_multipliers` as it was built before the
+    closed form: each pair in its own bulk field, of order
+    lcm(ord alpha, ord beta), with one inverse of its bracket, every value
+    made a scalar at that order and then a vector of `field` over one
+    common denominator."""
+    values, orders = [], []
+    for alpha, beta in pairs:
+        ends = (alpha.value, beta.value)
+        pair = bulk_field(ends)
+        (a, b), _ = pair.vectors(ends)
+        acb = pair.mul(a, pair.conj(b))
+        denom = [p - q for p, q in zip(acb, pair.conj(acb))]
+        if not any(denom):
+            raise ParallelLinesError("directions coincide mod sign")
+        order = math.lcm(field_order(alpha.value), field_order(beta.value))
+        inv, d = pair.vector(pair.element(denom, 1, order).inv())
+        for p in (pair.mul(a, b), pair.mul(pair.conj(a), b), acb):
+            values.append(pair.element(pair.mul(p, inv), d, order))
+        orders.append(order)
+    vectors, den = field.vectors(values)
+    return den, [(*vectors[3 * k : 3 * k + 3], order) for k, order in enumerate(orders)]
+
+
 def oracle_offset_multipliers(angles):
     """Per direction pair, in `pairs` order, the scalars (x, y, y') of the
     line offsets U_p = x*conj(p) - y*p and V_q = x*conj(q) - y'*q: a
@@ -953,7 +1019,7 @@ def oracle_vector_projection_set(angles):
     if angles.contains_one():
         s, slides = d, multipliers[: len(nu)]
     else:
-        s, slides = pair_multipliers([(UnitAngle.real_axis(), g) for g in nu], field)
+        s, slides = oracle_pair_multipliers([(UnitAngle.real_axis(), g) for g in nu], field)
     zero = (0,) * field.degree
     den = d * s
     one = (den,) + zero[1:]

@@ -31,11 +31,16 @@ from origami_rings.analysis import ring_context
 from origami_rings.anglespec import parse_angle_list
 from origami_rings.cli import run
 from origami_rings.construction import nontrivial_projections
+from origami_rings.cyclotomic import AmbientField
 from origami_rings.geometry import pair_multipliers
+from origami_rings.ratfunc import bulk_field
 from helpers import (
+    oracle_canonical_key,
+    oracle_canonical_sign,
     oracle_elementary_monomials,
     oracle_nontrivial_monomials,
     oracle_offset_multipliers,
+    oracle_pair_multipliers,
     oracle_projection_set,
     oracle_slide,
     oracle_step,
@@ -221,20 +226,35 @@ def test_step_matches_oracle_step():
 
 def test_numeric_step_keys_only_new_points(monkeypatch):
     # offsets and candidates are compared as integer vectors; canonical keys
-    # (and so minimal forms) are computed only for the points a step adds
+    # (and so the descent to the minimal order) are computed only for the
+    # points a step adds
     for angles in (example_angles(), AngleSet([ua(1, 0), ua(10, 1), ua(8, 1), ua(6, 1)])):
         s1 = step(initial_generation(), angles)
         calls = []
-        minimal_form = CyclotomicElement.minimal_form
+        descent = CyclotomicElement._minimal
 
         def counting(self):
             calls.append(self)
-            return minimal_form(self)
+            return descent(self)
 
-        monkeypatch.setattr(CyclotomicElement, "minimal_form", counting)
+        monkeypatch.setattr(CyclotomicElement, "_minimal", counting)
         s2 = step(s1, angles)
-        monkeypatch.setattr(CyclotomicElement, "minimal_form", minimal_form)
+        monkeypatch.setattr(CyclotomicElement, "_minimal", descent)
         assert 0 < len(calls) <= len(s2)
+
+
+def test_pool_closure_keys_match_the_fraction_oracle():
+    # the integer keys and signs of every closure point of the oracle and
+    # pool sets, at the closure benchmark's depths (3 for three directions,
+    # else 2), against the Fraction minimal form
+    for spec in ORACLE_SETS + POOL_SETS:
+        angles = parse_angle_list(spec)[0]
+        depth = 3 if len(angles) == 3 else 2
+        points = closure_to_depth(ConstructionConfig(angles, max_depth=depth))[-1]
+        for p in points:
+            if isinstance(p, CyclotomicElement):
+                assert p.canonical_key() == oracle_canonical_key(p), spec
+                assert p.canonical_sign() == oracle_canonical_sign(p), spec
 
 
 def test_step_logs_counts(caplog):
@@ -284,9 +304,9 @@ def test_multiplier_table_matches_scalar_oracle(spec):
             assert field.element(x, s, order) == oracle_slide(gamma)
 
 
-def test_closure_takes_one_inverse_per_direction_pair(monkeypatch):
-    # the table's brackets are the only inverses of a closure; the step reads
-    # the table and computes no slides
+def test_numeric_closure_takes_no_inverse(monkeypatch):
+    # the table's multipliers come in closed form from the directions'
+    # exponents, and the step reads the table and computes no slides
     calls = []
     inv = CyclotomicElement.inv
 
@@ -295,9 +315,45 @@ def test_closure_takes_one_inverse_per_direction_pair(monkeypatch):
         return inv(self)
 
     monkeypatch.setattr(CyclotomicElement, "inv", counting)
-    angles = example_angles()
-    closure_to_depth(ConstructionConfig(angles, max_depth=2))
-    assert len(calls) == len(list(angles.pairs())) == 6
+    closure_to_depth(ConstructionConfig(example_angles(), max_depth=2))
+    assert calls == []
+    # a unit that is no root of unity keeps one bracket inverse per pair
+    angles = units_off_the_roots()
+    angles._elementary_table()
+    assert len(calls) == 3
+
+
+def odd_order_angles():
+    """Directions of the odd order 15, two of them stored as -zeta_15^k by
+    the canonical sign, and the real axis."""
+    ks = (1, 4, 8, 11)
+    angles = AngleSet([ua(1, 0)] + [ua(15, k) for k in ks])
+    assert sum(a.value == -root_of_unity(15, k) for a in angles for k in ks) == 2
+    return angles
+
+
+def units_off_the_roots():
+    """A set with (3+4i)/5, a unit that is no root of unity, beside zeta_8."""
+    i = root_of_unity(4, 1)
+    return AngleSet([ua(1, 0), UnitAngle((3 + 4 * i) / 5), ua(8, 1), ua(4, 1)])
+
+
+def test_pair_multipliers_match_the_bracket_oracle():
+    # the closed form against the bracket inverse it replaced, as (den, rows),
+    # in the directions' field and in a larger one, for the table's pairs
+    # and for the slides (1, gamma); an odd order has -zeta directions, and
+    # pairs with a unit off the roots of unity keep the bracket inverse
+    assert len(FAMILY_SETS) == 479
+    sets = [parse_angle_list(spec)[0] for spec in ORACLE_SETS + POOL_SETS + FAMILY_SETS]
+    sets += [parse_angle_list(AXISLESS)[0], odd_order_angles(), units_off_the_roots()]
+    for angles in sets:
+        field = bulk_field(a.value for a in angles)
+        fields = [field] if field.order is None else [field, AmbientField(3 * field.order)]
+        slides = [(UnitAngle.real_axis(), g) for g in angles.non_unit()]
+        for f in fields:
+            for pairs in (list(angles.pairs()), slides):
+                assert pair_multipliers(pairs, f) == oracle_pair_multipliers(pairs, f), angles
+    assert odd_order_angles()._elementary_table()[0].order == 15
 
 
 # --- elementary monomials -------------------------------------------------------
@@ -491,6 +547,25 @@ def test_nontrivial_projections_are_held_per_instance(monkeypatch):
     assert builds == [angles] * 3
     nontrivial_projections(example_angles())  # a new instance builds its own
     assert len(builds) == 4
+
+
+def test_projection_set_slides_each_elementary_value_once(monkeypatch):
+    # one pass projects every elementary value along every non-axis
+    # direction, and P, the x candidate and the full set read it; a held P
+    # takes no slides of its own
+    calls = []
+    slide = construction.slide_to_axis
+    monkeypatch.setattr(
+        construction, "slide_to_axis", lambda *args: calls.append(args) or slide(*args)
+    )
+    for spec in ("0,pi*1/6,pi*1/3,pi*1/2", "0,pi*1/10,pi*1/4,pi*1/2", AXISLESS, ORACLE_SETS[-1]):
+        angles = parse_angle_list(spec)[0]
+        per_pass = len(angles._elementary_table()[3]) * len(angles.non_unit())
+        calls.clear()
+        first = projection_set(angles)
+        assert len(calls) == per_pass, spec
+        assert projection_set(angles).nontrivial is first.nontrivial
+        assert len(calls) == 2 * per_pass, spec
 
 
 def test_family_projections_lie_in_the_x_family():

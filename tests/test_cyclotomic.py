@@ -24,9 +24,12 @@ from origami_rings.cyclotomic import (
 )
 from helpers import (
     mul,
+    oracle_canonical_key,
+    oracle_canonical_sign,
     oracle_cyclotomic_division,
     oracle_cyclotomic_polynomial,
     oracle_inv,
+    oracle_minimal_form,
     oracle_reduce,
     oracle_subfield_coords,
     random_cyclo,
@@ -294,6 +297,30 @@ def test_canonical_key_identities():
     # same value reached through different orders
     assert root_of_unity(12, 3).canonical_key() == root_of_unity(4, 1).canonical_key()
     assert root_of_unity(12, 4).canonical_key() == root_of_unity(3, 1).canonical_key()
+
+
+def test_canonical_keys_match_the_fraction_oracle():
+    # keys, signs and minimal forms read off integer numerators against the
+    # Fraction minimal form, on every order up to 240: zero, a rational with
+    # a negative numerator, values embedded from a random subfield (so the
+    # descent runs) and a random value of the order
+    rng = random.Random(39)
+    minimal_orders = set()
+    for n in range(1, 241):
+        divisors = [m for m in range(1, n + 1) if n % m == 0]
+        values = [
+            CyclotomicElement.from_rational(0, n),
+            CyclotomicElement.from_rational(Fraction(-rng.randint(1, 99), rng.randint(1, 9)), n),
+            random_cyclo(rng, n),
+        ]
+        values += [random_cyclo(rng, rng.choice(divisors)).embed(n) for _ in range(3)]
+        for x in values:
+            assert x.canonical_key() == oracle_canonical_key(x), x
+            assert x.canonical_sign() == oracle_canonical_sign(x), x
+            assert x.minimal_form() == oracle_minimal_form(x), x
+            minimal_orders.add(x.minimal_form()[0])
+    # order 2 descends to 1; order 3 is reached from 6, 12, ...
+    assert {1, 3, 4, 5, 7, 8} <= minimal_orders
 
 
 def test_canonical_sign_is_order_independent():
